@@ -29,6 +29,7 @@ from repro.distsys import (
     run_topology,
 )
 from repro.simulation import PrefetchCacheConfig, run_prefetch_cache
+from repro.simulation.metrics import AccessStats
 from repro.workload import generate_markov_source, record_markov_trace
 from repro.workload.population import (
     ClientWorkload,
@@ -265,6 +266,68 @@ GOLDEN_TRACES = {
         "mid_hits": 21,
         "edge_prefetches_issued": 20,
     },
+    # Paths with no cross-engine partner to keep them honest: an online
+    # model with the node budget on, the cohort's mean-field wait (per-client
+    # and pooled), a lean Figure 7 point and a gateway session replay.  Once
+    # every engine runs the same request step, a drift that moves them all
+    # together shows up only here.
+    "fleet_online_ewma": {
+        "events": 876,
+        "makespan": 5025.572659175913,
+        "mean_access_time": 9.38819456896341,
+        "p95_access_time": 29.415345365716696,
+        "hit_rate": 0.45625,
+        "transfers_granted": 390,
+        "offered_load": 1.2381101872151992,
+        "prefetches_scheduled": 129,
+        "prefetches_used": 7,
+        "access_time_sum": 4506.333393102437,
+    },
+    "cohort_contended": {
+        "events": 2522,
+        "makespan": 4199.3985398378645,
+        "mean_access_time": 9.008622186846573,
+        "p95_access_time": 30.840403953265028,
+        "hit_rate": 0.4975,
+        "transfers_granted": 1302,
+        "offered_load": 4.20816227825056,
+        "prefetches_scheduled": 700,
+        "prefetches_used": 154,
+        "access_time_sum": 10810.346624215888,
+        "contention_wait": 1.6545771407422172,
+    },
+    "cohort_contended_pooled": {
+        "makespan": 4199.3985398378645,
+        "events": 2522,
+        "offered_load": 4.20816227825056,
+        "contention_wait": 1.6545771407422172,
+        "requests": 1200,
+        "mean_access_time": 9.008622186846573,
+        "p50_access_time": 5.408616029966479,
+        "p95_access_time": 30.840403953265028,
+        "p99_access_time": 32.06364251135818,
+        "hit_rate": 0.4975,
+        "prefetch_precision": 0.22,
+        "network_prefetch_time": 6898.001637000611,
+        "network_demand_time": 8820.748889685712,
+        "fairness": 0.9637997188559908,
+    },
+    "lean_figure7": {
+        "access_time_sum": 2372.785161916873,
+        "hit_counts": {"cache-hit": 236, "pending-wait": 21, "miss": 143},
+        "prefetches_scheduled": 996,
+        "prefetches_used": 235,
+        "network_prefetch_time": 12898.307067929358,
+        "network_demand_time": 2310.361115594908,
+    },
+    "gateway_replay": {
+        "access_time_sum": 1375.9641958790721,
+        "hits": 44,
+        "waits": 1,
+        "misses": 75,
+        "prefetches_scheduled": 33,
+        "clock": 2158.582446315391,
+    },
 }
 
 
@@ -312,6 +375,106 @@ def test_golden_fleet_markov_fair_ds_bit_exact():
         ),
     )
     assert _fingerprint(res) == GOLDEN_TRACES["fleet_markov_fair_ds"]
+
+
+def test_golden_fleet_online_ewma_bit_exact():
+    population = zipf_mixture_population(6, 40, 80, overlap=0.5, stagger=20.0, seed=17)
+    res = run_fleet(
+        population,
+        FleetConfig(
+            cache_capacity=6,
+            strategy="skp",
+            concurrency=2,
+            model_source="online",
+            online_predictor="frequency:ewma",
+        ),
+    )
+    assert _fingerprint(res) == GOLDEN_TRACES["fleet_online_ewma"]
+
+
+def _contended_cohort(stats):
+    from repro.distsys.megafleet import run_cohort_fleet
+
+    population = zipf_mixture_population(
+        20, 60, 60, overlap=0.8, v_quantum=5.0, stagger=20.0, seed=11
+    )
+    config = FleetConfig(
+        cache_capacity=6, strategy="skp", concurrency=6, miss_penalty=1.5, engine="cohort"
+    )
+    return run_cohort_fleet(population, config, stats=stats)
+
+
+def test_golden_cohort_contended_bit_exact():
+    res = _contended_cohort("full")
+    assert not res.saturated
+    fp = _fingerprint(res)
+    fp["contention_wait"] = res.contention_wait
+    assert fp == GOLDEN_TRACES["cohort_contended"]
+
+
+def test_golden_cohort_contended_pooled_bit_exact():
+    res = _contended_cohort("pooled")
+    agg = res.aggregate
+    fp = {
+        "makespan": res.makespan,
+        "events": res.events,
+        "offered_load": res.offered_load,
+        "contention_wait": res.contention_wait,
+    }
+    for name in GOLDEN_TRACES["cohort_contended_pooled"]:
+        if name not in fp:
+            fp[name] = getattr(agg, name)
+    assert fp == GOLDEN_TRACES["cohort_contended_pooled"]
+
+
+def test_golden_lean_figure7_bit_exact():
+    source = generate_markov_source(40, out_degree=(3, 8), seed=3)
+    res = run_prefetch_cache(
+        source,
+        PrefetchCacheConfig(
+            cache_size=5,
+            n_requests=400,
+            strategy="skp",
+            sub_arbitration="ds",
+            planning_window="effective",
+            seed=21,
+        ),
+    )
+    assert {
+        "access_time_sum": float(res.access_times.sum()),
+        "hit_counts": res.hit_counts,
+        "prefetches_scheduled": res.prefetches_scheduled,
+        "prefetches_used": res.prefetches_used,
+        "network_prefetch_time": res.network_prefetch_time,
+        "network_demand_time": res.network_demand_time,
+    } == GOLDEN_TRACES["lean_figure7"]
+
+
+def test_golden_gateway_replay_bit_exact():
+    from repro.gateway.sessions import SessionConfig, SessionStore
+
+    population = zipf_mixture_population(
+        1, 30, 120, overlap=0.5, v_range=(1.0, 12.0), seed=23
+    )
+    store = SessionStore(
+        SessionConfig(predictor="markov:ewma", cache_capacity=5),
+        np.ascontiguousarray(population.sizes),
+        clock=lambda: 0.0,
+    )
+    workload = population.clients[0]
+    session = store.get_or_create("golden")
+    session.report(workload.initial_item, workload.initial_viewing_time)
+    for item, view in zip(workload.trace.items, workload.trace.viewing_times):
+        session.report(int(item), float(view))
+    kinds = session.stats.serve_kinds
+    assert {
+        "access_time_sum": float(np.sum(session.stats.access_times)),
+        "hits": kinds.count(AccessStats.KIND_HIT),
+        "waits": kinds.count(AccessStats.KIND_WAIT),
+        "misses": kinds.count(AccessStats.KIND_MISS),
+        "prefetches_scheduled": session.stats.prefetches_scheduled,
+        "clock": session.clock,
+    } == GOLDEN_TRACES["gateway_replay"]
 
 
 def test_golden_topology_tree_bit_exact():
