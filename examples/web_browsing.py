@@ -7,36 +7,47 @@ A Markov "site" generates page visits; the client learns a dependency-graph
 access model online, and the planner prefetches over a bandwidth-limited
 link with Pr+DS cache arbitration.
 
-Compares three clients on the *same* recorded session:
+Compares three clients on the *same* recorded session, each a 1-client
+fleet over a private (unbounded) link:
 
 * demand fetch only;
-* SKP prefetching with the *learned* dependency-graph model;
+* SKP prefetching with a dependency-graph model learned online;
 * SKP prefetching with the *true* transition rows (oracle).
 
 Run:  python examples/web_browsing.py
 """
 
-import numpy as np
-
-from repro.core.planner import Prefetcher
-from repro.distsys import Client, ItemServer, Link, run_session
+from repro.distsys import FleetConfig, run_fleet
 from repro.prediction import DependencyGraphPredictor, evaluate_predictor
 from repro.workload import generate_markov_source, record_markov_trace
+from repro.workload.population import ClientWorkload, Population
 
 N_PAGES = 60
 SESSION_LENGTH = 1500
 
 
-def build_client(source, provider, strategy="skp"):
-    # Page sizes back out of the paper's retrieval times over a unit link.
-    server = ItemServer(source.retrieval_times)
-    return Client(
-        server,
-        Link(latency=0.0, bandwidth=1.0),
-        cache_capacity=12,
-        prefetcher=Prefetcher(strategy=strategy, sub_arbitration="ds"),
-        probability_provider=provider,
+def run_client(site, session, **config):
+    """One browser: a 1-client fleet over a unit link.
+
+    Page sizes back out of the paper's retrieval times over a unit link;
+    the workload's transition rows are the oracle model.
+    """
+    population = Population(
+        sizes=site.retrieval_times,
+        clients=(
+            ClientWorkload(
+                client_id=0,
+                trace=session,
+                initial_item=int(session.items[0]),
+                initial_viewing_time=0.0,
+                transition=site.transition,
+            ),
+        ),
     )
+    config = FleetConfig(
+        cache_capacity=12, sub_arbitration="ds", concurrency=None, **config
+    )
+    return run_fleet(population, config).client_stats[0]
 
 
 def main() -> None:
@@ -59,30 +70,23 @@ def main() -> None:
     )
 
     # --- three clients over the identical session ---------------------------
-    results = {}
-
-    demand = build_client(site, lambda i: np.zeros(N_PAGES), strategy="none")
-    results["demand fetch only"] = run_session(demand, session_trace)
-
-    learned_model = DependencyGraphPredictor(N_PAGES, window=1)
-    learned = build_client(site, lambda i: learned_model.predict())
-    results["SKP + learned model"] = run_session(
-        learned, session_trace, predictor=learned_model
-    )
-
-    oracle = build_client(site, lambda i: site.row(i))
-    results["SKP + oracle model"] = run_session(oracle, session_trace)
+    results = {
+        "demand fetch only": run_client(site, session_trace, strategy="none"),
+        "SKP + learned model": run_client(
+            site, session_trace, model_source="online", online_predictor="graph"
+        ),
+        "SKP + oracle model": run_client(site, session_trace),
+    }
 
     print("\nmean page-load time (same 1500-view session):")
-    for name, result in results.items():
-        stats = result.stats
+    for name, stats in results.items():
         extra = ""
         if stats.prefetches_scheduled:
             extra = (
                 f"  [prefetches {stats.prefetches_scheduled}, "
                 f"precision {stats.prefetches_used / stats.prefetches_scheduled:.2f}]"
             )
-        print(f"  {name:22s} {result.mean_access_time:6.2f}{extra}")
+        print(f"  {name:22s} {stats.mean_access_time:6.2f}{extra}")
 
     base = results["demand fetch only"].mean_access_time
     best = results["SKP + oracle model"].mean_access_time

@@ -6,10 +6,11 @@
   fleet's shared finite-concurrency server uplink;
 * :mod:`repro.distsys.server` — sized item catalog, optionally fronted by a
   shared server-side cache;
-* :mod:`repro.distsys.client` — cache + planner + channel client;
-* :mod:`repro.distsys.session` — trace replay driver (one client);
-* :mod:`repro.distsys.fleet` — N clients, one contended uplink, population
-  workloads, fleet-level metrics;
+* :mod:`repro.distsys.planning` — per-client planning state and the
+  request-step kernel every engine runs;
+* :mod:`repro.distsys.fleet` — N event-driven clients (one for a single
+  session), one contended uplink, population workloads, fleet-level
+  metrics;
 * :mod:`repro.distsys.topology` — multi-tier cache hierarchies: proxy nodes
   with shared caches and per-tier speculation, star/tree/two-tier
   topologies, miss propagation toward the origin.
@@ -18,8 +19,6 @@
 from repro.distsys.events import EventQueue
 from repro.distsys.network import Channel, Link, ServerUplink
 from repro.distsys.server import ItemServer
-from repro.distsys.client import Client, ClientStats
-from repro.distsys.session import SessionResult, predictor_provider, run_session
 from repro.distsys.fleet import Fleet, FleetClient, FleetConfig, FleetResult, run_fleet
 from repro.distsys.megafleet import (
     CohortFleet,
@@ -47,11 +46,6 @@ __all__ = [
     "Link",
     "ServerUplink",
     "ItemServer",
-    "Client",
-    "ClientStats",
-    "SessionResult",
-    "predictor_provider",
-    "run_session",
     "Fleet",
     "FleetClient",
     "FleetConfig",

@@ -39,46 +39,18 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
 
-    def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        self.schedule(self.now + float(delay), callback)
-
     def __len__(self) -> int:
         return len(self._heap)
 
-    def step(self) -> bool:
-        """Run the earliest event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        time, _seq, callback = heapq.heappop(self._heap)
-        self.now = time
-        callback()
-        return True
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drain events (optionally bounded by time or count); returns count run."""
+    def run(self) -> int:
+        """Drain every event, including ones scheduled while draining;
+        returns how many ran."""
         heap = self._heap
         pop = heapq.heappop
         count = 0
-        if until is None and max_events is None:
-            # Unbounded drain: the fleet/topology hot path.  Inlining step()
-            # here keeps the per-event cost to one heappop and one call.
-            while heap:
-                time, _seq, callback = pop(heap)
-                self.now = time
-                callback()
-                count += 1
-            return count
         while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and count >= max_events:
-                break
             time, _seq, callback = pop(heap)
             self.now = time
             callback()
             count += 1
-        if until is not None and self.now < until and (
-            not heap or heap[0][0] > until
-        ):
-            self.now = until
         return count

@@ -11,14 +11,16 @@ with finite concurrency and FIFO or fair cross-client scheduling — so
 prefetch intrusion becomes a cross-client effect, not just a per-client
 stretch.
 
-Each :class:`FleetClient` implements exactly the semantics of
-:class:`~repro.distsys.client.Client` (transfers never aborted, demand
-fetches wait for the client's whole backlog, eviction lists leave the cache
-at planning time, each admitted prefetch paired with a victim or free
-slot), but fully event-driven: completion times emerge from the shared
-timeline instead of being computed at enqueue.  A 1-client fleet over an
-unbounded uplink reproduces the single-client engine's access times
-*bit-exactly* (see ``tests/integration/test_cross_engine.py``).
+Each :class:`FleetClient` runs the request step every engine shares
+(:mod:`repro.distsys.planning`: transfers never aborted, demand fetches
+wait for the client's whole backlog, eviction lists leave the cache at
+planning time, each admitted prefetch paired with a victim or free slot),
+but fully event-driven: completion times emerge from the shared timeline
+instead of being computed at enqueue.  A 1-client fleet over an unbounded
+uplink reproduces the lean §5.3 simulator's access times *bit-exactly*
+(see ``tests/integration/test_cross_engine.py``); it is also the
+single-client entry point — give it a one-client
+:class:`~repro.workload.population.Population`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ from repro.cache.base import Cache
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.distsys.events import EventQueue
 from repro.distsys.network import Link, ServerUplink
-from repro.distsys.planning import ClientPlanState
+from repro.distsys.planning import (
+    KIND_HIT,
+    KIND_MISS,
+    KIND_WAIT,
+    ClientPlanState,
+    arrive,
+    plan,
+    serve,
+    warm_start,
+)
 from repro.distsys.server import ItemServer
 from repro.simulation.metrics import AccessStats, FleetAggregate, aggregate_access_stats
 from repro.workload.population import ClientWorkload, Population
@@ -99,34 +110,29 @@ class FleetConfig:
 class FleetClient:
     """One event-driven prefetching client inside a fleet.
 
-    The request/serve/plan cycle is driven entirely by scheduled events:
-    ``start()`` seeds the warm-start item at the client's (possibly
-    staggered) start time; every served request plans prefetches for its
-    viewing period and schedules the next request; transfer completions
-    arrive as uplink callbacks.
+    Runs the request step of :mod:`repro.distsys.planning` piece by piece,
+    driven entirely by scheduled events: ``start()`` schedules the warm
+    start at the client's (possibly staggered) start time; a request is
+    classified by :func:`~repro.distsys.planning.arrive` and, unless it
+    hits, finished by :func:`~repro.distsys.planning.serve` from the uplink
+    callback that delivers its transfer; every served request plans its
+    viewing period, submits the admitted prefetches and schedules the next
+    request.  Under contention completions emerge from the shared timeline,
+    so a prefetch stays pending with an unknown completion until the uplink
+    grants it a slot.
 
-    Fleet workloads come from a :class:`Population`, whose probability
-    providers are library-constructed and static — so the shared
-    :class:`~repro.distsys.planning.ClientPlanState` runs with trusted
-    (validate-once) problem construction and demand-victim memoization, and
-    the per-request trace/duration lookups read precomputed Python lists.
-    With an online ``model`` (``model_source="online"``) the rows are
-    learned from the served stream instead: still trusted (predictors emit
-    normalised rows), but the static-provider fast paths switch off.
+    ``retrievals`` (array) and ``transfer`` (list) are the engine's per-item
+    client-link transfer times, shared by every client.  With an online
+    ``model`` (``model_source="online"``) planning rows are learned from the
+    served stream instead of the workload's oracle provider.
     """
 
     __slots__ = (
         "client_id",
         "workload",
-        "server",
-        "link",
         "uplink",
         "queue",
-        "prefetcher",
-        "capacity",
-        "planning_window",
-        "retrievals",
-        "provider",
+        "effective",
         "state",
         "stats",
         "finished_at",
@@ -135,14 +141,13 @@ class FleetClient:
         "_items",
         "_viewings",
         "_transfer",
-        "_n_requests",
     )
 
     def __init__(
         self,
         workload: ClientWorkload,
-        server: ItemServer,
-        link: Link,
+        retrievals: np.ndarray,
+        transfer: list[float],
         uplink: ServerUplink,
         queue: EventQueue,
         prefetcher: Prefetcher,
@@ -153,35 +158,17 @@ class FleetClient:
     ) -> None:
         if planning_window not in ("nominal", "effective"):
             raise ValueError(f"unknown planning_window {planning_window!r}")
-        if cache_capacity < 0:
-            raise ValueError("cache_capacity must be non-negative")
         self.client_id = int(workload.client_id)
         self.workload = workload
-        self.server = server
-        self.link = link
         self.uplink = uplink
         self.queue = queue
-        self.prefetcher = prefetcher
-        self.capacity = int(cache_capacity)
-        self.planning_window = planning_window
-        self.retrievals = server.retrieval_times(link)
-        # ``model`` switches the client from the oracle row to an online
-        # predictor (any AccessPredictor): rows are library-normalised
-        # (trusted) but change with every observation, so the static-provider
-        # fast paths (victim memo, support cache) must stay off.
-        if model is not None:
-            self.provider = model.conditional_row
-        else:
-            self.provider = workload.provider()
-
+        self.effective = planning_window == "effective"
         self.state = ClientPlanState(
             prefetcher,
-            self.provider,
-            self.retrievals,
-            self.capacity,
-            server.n_items,
-            trusted_provider=True,
-            static_provider=model is None,
+            model.conditional_row if model is not None else workload.provider(),
+            retrievals,
+            cache_capacity,
+            len(transfer),
             model=model,
         )
         self.stats = AccessStats()
@@ -189,30 +176,10 @@ class FleetClient:
 
         self._k = 0  # next trace index
         self._waiting: tuple[int, int, float] | None = None  # (index, item, t_req)
-        # Batch the per-request numpy scalar reads into plain lists up front:
-        # trace items, viewing times, and per-item transfer durations (the
-        # same latency + size/bandwidth floats link.transfer_time derives).
+        # Batch the per-request numpy scalar reads into plain lists up front.
         self._items = [int(i) for i in workload.trace.items]
         self._viewings = workload.trace.viewing_times.tolist()
-        self._transfer = self.retrievals.tolist()
-        self._n_requests = len(self._items)
-
-    # -- state views (tests and the planner share these) ----------------
-    @property
-    def cache(self) -> set[int]:
-        return self.state.cache
-
-    @property
-    def origin(self) -> dict[int, str]:
-        return self.state.origin
-
-    @property
-    def pending(self) -> dict[int, float | None]:
-        return self.state.pending
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.state.frequencies
+        self._transfer = transfer
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -223,18 +190,19 @@ class FleetClient:
         return self.finished_at is not None
 
     def _begin(self) -> None:
-        """Warm start: pre-serve the initial item, plan, queue request 0."""
         now = self.queue.now
-        item = int(self.workload.initial_item)
-        self.state.observe(item)
-        if self.capacity > 0:
-            self.state.cache_add(item, "demand")
         viewing = float(self.workload.initial_viewing_time)
-        self._view(item, viewing, now)
+        self._submit(
+            warm_start(
+                self.state, self.stats, int(self.workload.initial_item), viewing,
+                now, self._transfer,
+            ),
+            now,
+        )
         self._schedule_request(now + viewing)
 
     def _schedule_request(self, at: float) -> None:
-        if self._k < self._n_requests:
+        if self._k < len(self._items):
             self.queue.schedule(at, self._request)
         else:
             self.finished_at = at
@@ -244,106 +212,61 @@ class FleetClient:
         now = self.queue.now
         k = self._k
         item = self._items[k]
-        state = self.state
-        self._promote_ready(now)
-
-        if item in state.cache:
-            self.stats.cache_hits += 1
-            if state.origin.get(item) == "prefetch":
-                self.stats.prefetches_used += 1
-                state.origin[item] = "prefetch-used"
-            self._serve(k, item, now, now, AccessStats.KIND_HIT)
-        elif item in state.pending:
+        kind = arrive(self.state, self.stats, item, now)
+        if kind == KIND_HIT:
+            self._serve(k, item, kind, now, now)
+        elif kind == KIND_WAIT:
             self._waiting = (k, item, now)  # served by the transfer's arrival
         else:
             duration = self._transfer[item]
             self.stats.network_demand_time += duration
-            self.stats.misses += 1
             self.uplink.submit(
                 self.client_id,
                 item,
                 duration,
                 now,
-                lambda completion, k=k, item=item, t_req=now: self._demand_done(
-                    k, item, t_req, completion
+                lambda completion, k=k, item=item, t_req=now: self._serve(
+                    k, item, KIND_MISS, t_req, completion
                 ),
                 kind="demand",
             )
 
-    def _demand_done(self, k: int, item: int, t_req: float, completion: float) -> None:
-        # Per-client FIFO means the whole backlog drained before this demand
-        # started (§2: prefetches are never aborted); promote any stragglers.
-        self._promote_ready(completion)
-        self.state.admit_demand(item)
-        self._serve(k, item, t_req, completion, AccessStats.KIND_MISS)
-
-    # -- prefetch arrivals ---------------------------------------------
     def _granted(self, item: int, completion: float) -> None:
         pending = self.state.pending
         if item in pending:
             pending[item] = completion  # membership unchanged: direct write
 
-    def _promote_ready(self, now: float) -> None:
-        """Promote granted prefetches that have landed by ``now``.
-
-        Mirrors the lean engine's ``promote(t_req)``: a transfer completing
-        at exactly the request instant counts as a cache hit even if its
-        completion event is ordered after the request event.
-        """
-        state = self.state
-        done = [
-            item
-            for item, arrival in state.pending.items()
-            if arrival is not None and arrival <= now
-        ]
-        for item in done:
-            state.promote(item)
-
     def _prefetch_done(self, item: int, completion: float) -> None:
-        state = self.state
-        if item in state.pending:
-            state.promote(item)
-        if self._waiting is not None and self._waiting[1] == item:
-            k, _, t_req = self._waiting
+        waiting = self._waiting
+        if waiting is not None and waiting[1] == item:
             self._waiting = None
-            self.stats.pending_waits += 1
-            self.stats.prefetches_used += 1
-            state.origin[item] = "prefetch-used"
-            self._serve(k, item, t_req, completion, AccessStats.KIND_WAIT)
+            self._serve(waiting[0], item, KIND_WAIT, waiting[2], completion)
 
-    # -- serve + plan ----------------------------------------------------
-    def _serve(self, k: int, item: int, t_req: float, t_serve: float, kind: int) -> None:
-        self.stats.access_times.append(t_serve - t_req)
-        self.stats.request_times.append(t_req)
-        self.stats.serve_kinds.append(kind)
-        self.state.observe(item)
+    def _serve(self, k: int, item: int, kind: int, t_req: float, t_serve: float) -> None:
+        state = self.state
+        serve(state, self.stats, item, kind, t_req, t_serve)
         viewing = self._viewings[k]
         self._k = k + 1
-        self._view(item, viewing, now=t_serve)
+        window = viewing
+        if self.effective:
+            window = max(0.0, viewing - self.uplink.backlog(self.client_id, t_serve))
+        self._submit(
+            plan(state, self.stats, item, window, t_serve, self._transfer), t_serve
+        )
         self._schedule_request(t_serve + viewing)
 
-    def _view(self, item: int, viewing_time: float, now: float) -> None:
-        """Plan and submit prefetches for the viewing period after ``item``."""
-        window = float(viewing_time)
-        if self.planning_window == "effective":
-            window = max(0.0, window - self.uplink.backlog(self.client_id, now))
-        state = self.state
-        outcome = state.plan_view(item, window)
+    def _submit(self, outcome, now: float) -> None:
+        """Put the planned prefetches on the uplink, in plan order."""
         for f in outcome.prefetch:
-            duration = self._transfer[f]
-            state.pending_add(f, None)
-            self.stats.prefetches_scheduled += 1
-            self.stats.network_prefetch_time += duration
             self.uplink.submit(
                 self.client_id,
                 f,
-                duration,
+                self._transfer[f],
                 now,
                 lambda completion, it=f: self._prefetch_done(it, completion),
                 kind="prefetch",
                 on_grant=self._granted,
             )
-        assert len(state.cache) + len(state.pending) <= max(self.capacity, 0)
 
 
 @dataclass(frozen=True)
@@ -454,7 +377,9 @@ class Fleet:
         self.server = ItemServer(
             population.sizes, cache=server_cache, miss_penalty=config.miss_penalty
         )
-        self.link = Link(latency=config.latency, bandwidth=config.bandwidth)
+        link = Link(latency=config.latency, bandwidth=config.bandwidth)
+        retrievals = self.server.retrieval_times(link)
+        transfer = retrievals.tolist()
         self.uplink = ServerUplink(
             self.queue,
             self.server,
@@ -473,8 +398,8 @@ class Fleet:
         self.clients = [
             FleetClient(
                 workload,
-                self.server,
-                self.link,
+                retrievals,
+                transfer,
                 self.uplink,
                 self.queue,
                 prefetcher,

@@ -9,11 +9,13 @@ adds the two scale attacks from the ROADMAP:
 *unbounded* uplink every client owns a private sequential channel, so the
 fleet factorises into independent per-client timelines: the event heap, the
 :class:`~repro.distsys.network.ServerUplink` grant machinery and all
-cross-client ordering disappear, leaving pure per-client float folds
-(``completion = max(now, busy_until) + duration + penalty`` — the
-:class:`~repro.distsys.network.Channel` arithmetic).  The kernel advances
-clients in struct-of-arrays chunks (per-chunk numpy trace/viewing tables,
-busy/next-request/stat vectors) step by step, and **memoizes planner
+cross-client ordering disappear, leaving the shared request step
+(:func:`repro.distsys.planning.step`) over one private
+:class:`~repro.distsys.network.Channel` per client
+(``completion = max(now, busy_until) + (duration + penalty)``).  The kernel
+advances clients in chunks, step-major (every client's request k before
+any client's request k+1), with all channels feeding one
+:class:`~repro.distsys.network.ServiceSums`, and **memoizes planner
 solves across the whole cohort**: clients whose probability provider is the
 same row are exchangeable up to their private draws, so a planning state —
 ``(provider row, item, cache fingerprint, pending fingerprint, window)``,
@@ -46,7 +48,6 @@ and states the validity envelope.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +61,8 @@ from repro.analysis.cacheperf import (
 )
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.distsys.fleet import FleetConfig, FleetResult, build_client_model
-from repro.distsys.network import Link
-from repro.distsys.planning import ClientPlanState
+from repro.distsys.network import Channel, Link, ServiceSums
+from repro.distsys.planning import ClientPlanState, step, warm_start
 from repro.simulation.metrics import (
     AccessStats,
     FleetAggregate,
@@ -140,26 +141,6 @@ class _CohortMemos:
             self.plan_memo.clear()
         self.plan_memo[key] = outcome
         return outcome
-
-
-def _flow_backlog(out: deque, now: float) -> float:
-    """This client's queued work at ``now`` — the exact
-    :meth:`~repro.distsys.network.ServerUplink.backlog` fold.
-
-    ``out`` holds ``(completion, duration)`` per outstanding transfer in
-    submission (= completion) order.  The head entry is in flight, so it
-    contributes its remaining time (penalty included); the rest are queued
-    and contribute their bare durations — the uplink adds the server
-    penalty only at grant, so queued transfers must not carry it here.
-    """
-    while out and out[0][0] <= now:
-        out.popleft()
-    if not out:
-        return 0.0
-    backlog = out[0][0] - now
-    for j in range(1, len(out)):
-        backlog += out[j][1]
-    return backlog
 
 
 def _cohort_key(workload) -> object:
@@ -265,10 +246,9 @@ class CohortFleet:
         transfer = self.retrievals.tolist()
         effective = config.planning_window == "effective"
         full_stats = self.stats_mode == "full"
-
-        KIND_HIT = AccessStats.KIND_HIT
-        KIND_WAIT = AccessStats.KIND_WAIT
-        KIND_MISS = AccessStats.KIND_MISS
+        # One accumulator for every channel: the service sums fold in the
+        # step-major order the mean-field wait below depends on.
+        sums = ServiceSums()
 
         clients = population.clients
         n_clients = len(clients)
@@ -281,41 +261,25 @@ class CohortFleet:
         total_hits = total_waits = total_misses = 0
         total_sched = total_used = 0
         net_prefetch = net_demand = 0.0
-        transfers = 0
-        total_service = prefetch_service = 0.0
-        service_sq = 0.0
         makespan = 0.0
 
         for lo in range(0, n_clients, _CHUNK_CLIENTS):
             chunk = clients[lo:lo + _CHUNK_CLIENTS]
             b = len(chunk)
-            # Struct-of-arrays chunk state, one row per client.  Hot scalar
-            # fields live in plain Python lists — per-element numpy access
-            # boxes a scalar per read/write, which at one read+write per
-            # request costs more than the fold itself; numpy takes over at
-            # the aggregation boundary.
+            # Struct-of-arrays chunk state, one row per client, in plain
+            # Python lists: per-element numpy access boxes a scalar per
+            # read, which costs more than the step itself.
             items_rows = [[int(x) for x in w.trace.items] for w in chunk]
             views_rows = [w.trace.viewing_times.tolist() for w in chunk]
             lens = [len(r) for r in items_rows]
             steps = max(lens)
-            busy = [0.0] * b
-            t_next = [0.0] * b
-            # Outstanding (completion, duration) per client, for the exact
-            # effective-window backlog fold; untracked in nominal mode.
-            outstanding = [deque() for _ in range(b)] if effective else None
-            access_rows: list[list[float]] = [[] for _ in range(b)]
-            reqt_rows: list[list[float]] = [[] for _ in range(b)] if full_stats else None
-            kind_rows: list[list[int]] = [[] for _ in range(b)]
-            hits = [0] * b
-            waits = [0] * b
-            misses = [0] * b
-            sched = [0] * b
-            used = [0] * b
-            npref = [0.0] * b
-            ndem = [0.0] * b
-
             states: list[ClientPlanState] = []
             memos: list[_CohortMemos | None] = []
+            channels: list[Channel] = []
+            stats_rows: list[AccessStats] = []
+            t_next: list[float] = []
+
+            # -- warm start (the event engine's _begin) -----------------
             for w in chunk:
                 model = build_client_model(config, n_items)
                 state = ClientPlanState(
@@ -324,8 +288,6 @@ class CohortFleet:
                     self.retrievals,
                     capacity,
                     n_items,
-                    trusted_provider=True,
-                    static_provider=model is None,
                     model=model,
                 )
                 memo = self._memos_for(w)
@@ -333,43 +295,19 @@ class CohortFleet:
                     # Share the zero-window victim memo across the cohort —
                     # same key space, same soundness condition.
                     state._victim_memo = memo.victim_memo
+                channel = Channel(penalty, sums)
+                stats = AccessStats()
+                now = float(w.start_time)
+                viewing = float(w.initial_viewing_time)
+                warm_start(
+                    state, stats, int(w.initial_item), viewing, now, transfer,
+                    channel, memo,
+                )
                 states.append(state)
                 memos.append(memo)
-
-            # -- warm start (the event engine's _begin) -----------------
-            for i, w in enumerate(chunk):
-                now = float(w.start_time)
-                state = states[i]
-                item = int(w.initial_item)
-                state.observe(item)
-                if capacity > 0:
-                    state.cache_add(item, "demand")
-                viewing = float(w.initial_viewing_time)
-                window = viewing
-                if effective:
-                    window = max(0.0, viewing - _flow_backlog(outstanding[i], now))
-                memo = memos[i]
-                outcome = (
-                    memo.plan(state, item, window)
-                    if memo is not None
-                    else state.plan_view(item, window)
-                )
-                for f in outcome.prefetch:
-                    duration = transfer[f]
-                    start = busy[i] if busy[i] > now else now
-                    svc = duration + penalty
-                    completion = start + svc
-                    busy[i] = completion
-                    state.pending_add(f, completion)
-                    if outstanding is not None:
-                        outstanding[i].append((completion, duration))
-                    sched[i] += 1
-                    npref[i] += duration
-                    transfers += 1
-                    total_service += svc
-                    prefetch_service += svc
-                    service_sq += svc * svc
-                t_next[i] = now + viewing
+                channels.append(channel)
+                stats_rows.append(stats)
+                t_next.append(now + viewing)
 
             # -- step-major sweep: one trace column per pass ------------
             # All clients advance through request k before any sees k+1, so
@@ -377,123 +315,41 @@ class CohortFleet:
             # long tail of each trace replays them.
             for k in range(steps):
                 for i in range(b):
-                    if k >= lens[i]:
-                        continue
-                    state = states[i]
-                    item = items_rows[i][k]
-                    now = t_next[i]
-                    pending = state.pending
-                    if pending:
-                        done = [it for it, arr in pending.items() if arr <= now]
-                        for it in done:
-                            state.promote(it)
-                    cache = state.cache
-                    if item in cache:
-                        hits[i] += 1
-                        if state.origin.get(item) == "prefetch":
-                            used[i] += 1
-                            state.origin[item] = "prefetch-used"
-                        t_serve = now
-                        kind = KIND_HIT
-                    elif item in pending:
-                        arrival = pending[item]
-                        done = [it for it, arr in pending.items() if arr <= arrival]
-                        for it in done:
-                            state.promote(it)
-                        waits[i] += 1
-                        used[i] += 1
-                        state.origin[item] = "prefetch-used"
-                        t_serve = arrival
-                        kind = KIND_WAIT
-                    else:
-                        duration = transfer[item]
-                        ndem[i] += duration
-                        misses[i] += 1
-                        start = busy[i] if busy[i] > now else now
-                        svc = duration + penalty
-                        completion = start + svc
-                        busy[i] = completion
-                        transfers += 1
-                        total_service += svc
-                        service_sq += svc * svc
-                        # The whole backlog drained before the demand
-                        # started (per-flow FIFO): promote everything.
-                        if pending:
-                            for it in list(pending):
-                                state.promote(it)
-                        state.admit_demand(item)
-                        t_serve = completion
-                        kind = KIND_MISS
-                    access_rows[i].append(t_serve - now)
-                    if reqt_rows is not None:
-                        reqt_rows[i].append(now)
-                    kind_rows[i].append(kind)
-                    state.observe(item)
-                    viewing = views_rows[i][k]
-                    window = viewing
-                    if effective:
-                        window = max(
-                            0.0, viewing - _flow_backlog(outstanding[i], t_serve)
+                    if k < lens[i]:
+                        viewing = views_rows[i][k]
+                        t_serve, _ = step(
+                            states[i], stats_rows[i], items_rows[i][k], viewing,
+                            t_next[i], transfer, channels[i], effective, memos[i],
                         )
-                    memo = memos[i]
-                    outcome = (
-                        memo.plan(state, item, window)
-                        if memo is not None
-                        else state.plan_view(item, window)
-                    )
-                    for f in outcome.prefetch:
-                        duration = transfer[f]
-                        start = busy[i] if busy[i] > t_serve else t_serve
-                        svc = duration + penalty
-                        completion = start + svc
-                        busy[i] = completion
-                        state.pending_add(f, completion)
-                        if outstanding is not None:
-                            outstanding[i].append((completion, duration))
-                        sched[i] += 1
-                        npref[i] += duration
-                        transfers += 1
-                        total_service += svc
-                        prefetch_service += svc
-                        service_sq += svc * svc
-                    t_next[i] = t_serve + viewing
+                        t_next[i] = t_serve + viewing
 
             # -- fold the chunk into the fleet accumulators -------------
-            makespan = max(makespan, max(t_next), max(busy))
-            total_hits += sum(hits)
-            total_waits += sum(waits)
-            total_misses += sum(misses)
-            total_sched += sum(sched)
-            total_used += sum(used)
-            net_prefetch += sum(npref)
-            net_demand += sum(ndem)
+            makespan = max(
+                makespan, max(t_next), max(c.busy_until for c in channels)
+            )
+            total_hits += sum(s.cache_hits for s in stats_rows)
+            total_waits += sum(s.pending_waits for s in stats_rows)
+            total_misses += sum(s.misses for s in stats_rows)
+            total_sched += sum(s.prefetches_scheduled for s in stats_rows)
+            total_used += sum(s.prefetches_used for s in stats_rows)
+            net_prefetch += sum(s.network_prefetch_time for s in stats_rows)
+            net_demand += sum(s.network_demand_time for s in stats_rows)
             if full_stats:
-                for i in range(b):
-                    stats = AccessStats(
-                        cache_hits=hits[i],
-                        pending_waits=waits[i],
-                        misses=misses[i],
-                        prefetches_scheduled=sched[i],
-                        prefetches_used=used[i],
-                        network_prefetch_time=npref[i],
-                        network_demand_time=ndem[i],
-                        access_times=access_rows[i],
-                        request_times=reqt_rows[i],
-                        serve_kinds=kind_rows[i],
-                    )
-                    all_stats.append(stats)
+                all_stats.extend(stats_rows)
             else:
-                for i in range(b):
-                    row = np.asarray(access_rows[i], dtype=np.float64)
+                for stats in stats_rows:
+                    row = np.asarray(stats.access_times, dtype=np.float64)
                     pooled_access.append(row)
-                    pooled_kinds.append(np.asarray(kind_rows[i], dtype=np.int8))
+                    pooled_kinds.append(np.asarray(stats.serve_kinds, dtype=np.int8))
                     per_client_mean.append(float(row.mean()) if row.size else float("nan"))
 
+        transfers = total_misses + total_sched  # one transfer per miss or prefetch
+        total_service = sums.total
         # -- contention: mean-field M/G/c correction --------------------
         wait, saturated = 0.0, False
         if config.concurrency is not None and transfers and makespan > 0:
             mean_service = total_service / transfers
-            var = max(0.0, service_sq / transfers - mean_service * mean_service)
+            var = max(0.0, sums.squares / transfers - mean_service * mean_service)
             scv = var / (mean_service * mean_service) if mean_service > 0 else 0.0
             uplink_visible = total_waits + total_misses
             base = makespan
@@ -518,11 +374,11 @@ class CohortFleet:
                     for stats in all_stats:
                         times = stats.access_times
                         for j, kind in enumerate(stats.serve_kinds):
-                            if kind != KIND_HIT:
+                            if kind != AccessStats.KIND_HIT:
                                 times[j] += wait
                 else:
                     for acc, knd in zip(pooled_access, pooled_kinds):
-                        acc[knd != KIND_HIT] += wait
+                        acc[knd != AccessStats.KIND_HIT] += wait
 
         # -- aggregate ---------------------------------------------------
         if full_stats:
@@ -552,7 +408,7 @@ class CohortFleet:
             offered_load=offered,
             server_utilization=offered / slots if slots else float("nan"),
             prefetch_load_frac=(
-                prefetch_service / total_service if total_service else 0.0
+                sums.prefetch / total_service if total_service else 0.0
             ),
             server_cache_hit_rate=float("nan"),
             transfers_granted=transfers,

@@ -7,12 +7,15 @@ sequential channel (the client's downlink), which is also how the §2
 assumption "the prefetch completes before the demand fetch" arises — a
 transfer in progress is never preempted.
 
-:class:`Channel` is the one-client view (completion times computable at
-enqueue).  :class:`ServerUplink` is the many-client generalisation: one
-server egress with finite concurrency shared by every client, so prefetch
-traffic from one client delays demand fetches of another — the cross-client
-intrusion the single-link model cannot express.  Under contention a
-transfer's completion depends on *future* arrivals, so the uplink delivers
+:class:`Channel` is the one-client view and the channel of the request-step
+kernel (:func:`repro.distsys.planning.step`): completion times are known
+at enqueue, ``completion = max(now, busy) + (duration + penalty)``, and
+the lean simulator, gateway sessions and the cohort fold all run on it.
+:class:`ServerUplink` is the many-client generalisation: one server egress
+with finite concurrency shared by every client, so prefetch traffic from
+one client delays demand fetches of another — the cross-client intrusion
+the single-link model cannot express.  Under contention a transfer's
+completion depends on *future* arrivals, so the uplink delivers
 completions through the event queue instead of returning them.
 """
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Link", "Channel", "ServerUplink"]
+__all__ = ["Link", "Channel", "ServiceSums", "ServerUplink"]
 
 
 @dataclass(frozen=True)
@@ -54,39 +57,69 @@ class Link:
         return self.latency + sizes / self.bandwidth
 
 
-class Channel:
-    """Sequential transfer scheduler over a link (non-preemptive).
+class ServiceSums:
+    """Service-time sums over every transfer of the channels sharing it.
 
-    Tracks when the channel drains (``busy_until``); each enqueued transfer
-    starts at ``max(now, busy_until)`` and runs to completion.
+    A fleet of channels shares one instance, so the sums accumulate in the
+    order the transfers were enqueued across the whole fleet — the order
+    the cohort engine's mean-field wait depends on, down to the low bits.
     """
 
-    __slots__ = ("link", "busy_until", "total_busy_time")
+    __slots__ = ("total", "prefetch", "squares")
 
-    def __init__(self, link: Link) -> None:
-        self.link = link
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.prefetch = 0.0
+        self.squares = 0.0
+
+
+class Channel:
+    """One client's sequential, non-preemptive transfer channel.
+
+    Each transfer starts at ``max(now, busy_until)`` and occupies the
+    channel for its duration plus the server's ``penalty``.  This is the
+    private link of an unbounded :class:`ServerUplink`, with completion
+    times known at enqueue.
+    """
+
+    __slots__ = ("penalty", "busy_until", "sums", "_stretch")
+
+    def __init__(self, penalty: float = 0.0, sums: ServiceSums | None = None) -> None:
+        self.penalty = float(penalty)
         self.busy_until = 0.0
-        self.total_busy_time = 0.0
+        self.sums = ServiceSums() if sums is None else sums
+        # (completion, duration) of every transfer since the channel was
+        # last idle, in order: the ones still outstanding are a suffix.
+        self._stretch: list[tuple[float, float]] = []
 
-    def enqueue(self, now: float, size: float) -> tuple[float, float]:
-        """Schedule a transfer; returns ``(start, completion)`` times."""
-        return self.enqueue_duration(now, self.link.transfer_time(size))
-
-    def enqueue_duration(self, now: float, duration: float) -> tuple[float, float]:
-        """Schedule a transfer whose duration the caller already derived
-        (e.g. from a precomputed per-item retrieval table)."""
-        start = max(float(now), self.busy_until)
-        completion = start + duration
-        self.busy_until = completion
-        self.total_busy_time += duration
-        return start, completion
-
-    def idle_at(self, now: float) -> bool:
-        return self.busy_until <= float(now)
+    def enqueue(self, now: float, duration: float, prefetch: bool) -> float:
+        """Schedule a transfer of ``duration``; returns its completion time."""
+        service = duration + self.penalty
+        busy = self.busy_until
+        if busy > now:
+            self.busy_until = busy = busy + service
+            self._stretch.append((busy, duration))
+        else:  # idle: everything enqueued before has landed
+            self.busy_until = busy = now + service
+            self._stretch = [(busy, duration)]
+        sums = self.sums
+        sums.total += service
+        if prefetch:
+            sums.prefetch += service
+        sums.squares += service * service
+        return busy
 
     def backlog(self, now: float) -> float:
-        """Remaining busy time as seen at ``now`` (the live stretch)."""
-        return max(0.0, self.busy_until - float(now))
+        """Queued work as seen at ``now`` — the :meth:`ServerUplink.backlog`
+        fold: the in-flight transfer's completion plus the bare durations of
+        the transfers queued behind it (the server adds its penalty at grant)."""
+        t = None
+        for completion, duration in self._stretch:
+            if t is not None:
+                t = t + duration
+            elif completion > now:
+                t = completion
+        return 0.0 if t is None else max(0.0, t - now)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +175,8 @@ class ServerUplink:
     exactly the sequential, non-preemptive :class:`Channel` semantics of the
     single-client model — and the head transfer of every idle client competes
     for free uplink slots.  With ``concurrency=None`` (unbounded) every
-    client proceeds as if it had a private link, which is how a 1-client
-    fleet degenerates to the original :class:`~repro.distsys.client.Client`.
+    client proceeds as if it had a private :class:`Channel`, which is how a
+    1-client fleet reproduces the lean §5.3 simulator.
 
     Scheduling disciplines when a slot frees:
 

@@ -1,46 +1,68 @@
-"""Shared per-client planning state: cache, origin, pending, planner calls.
+"""The §5.3 request step: per-client planning state plus the one kernel
+every engine runs.
 
-Before this module, the demand-victim/cache-admission block and the
-viewing-period planning call were copy-pasted three times — in the lean §5.3
-simulator (:mod:`repro.simulation.prefetch_cache`), the event-driven client
-(:mod:`repro.distsys.client`) and the fleet client
-(:mod:`repro.distsys.fleet`, reused by :mod:`repro.distsys.topology`).  The
-three engines must stay *bit-exact* with each other (see
-``tests/integration/test_cross_engine.py``), so the shared arithmetic now
-lives here once.
+:class:`ClientPlanState` holds one client's cache, origin labels, pending
+transfers and access frequencies, and dispatches the planner.  The
+functions below are the client timeline of the paper, written once:
+
+* :func:`warm_start` — pre-serve the initial item and plan its viewing
+  period (§5.3 seeds its first Markov state this way);
+* :func:`arrive` — promote transfers that have landed, then classify the
+  request as a hit (served now), a wait on an in-flight prefetch, or a
+  miss;
+* :func:`serve` — finish a wait or miss at ``t_serve`` (promote, admit the
+  demand-fetched item), record the access and observe it;
+* :func:`plan` — plan the viewing period, register the admitted prefetches
+  as pending, count them and check the occupancy invariant;
+* :func:`step` — the four composed over a sequential
+  :class:`~repro.distsys.network.Channel`: prefetches are never aborted and
+  a demand fetch waits for the whole backlog (§2).
+
+The lean simulator (:mod:`repro.simulation.prefetch_cache`), gateway
+sessions (:mod:`repro.gateway.sessions`) and the cohort fold
+(:mod:`repro.distsys.megafleet`) call :func:`step`.  The event-driven
+:class:`~repro.distsys.fleet.FleetClient` learns completions only through
+its uplink's callbacks, so it calls the pieces from those callbacks.
 
 :class:`ClientPlanState` is also where the fast-kernel bookkeeping lives:
 
 * the cache and pending sets are mirrored into **incrementally maintained
-  sorted tuples** (invalidated on membership change, rebuilt lazily), so the
-  per-request ``sorted(cache)`` / ``sorted(pending)`` calls of the old hot
-  loops disappear;
-* planner problems are built through
-  :meth:`~repro.core.types.PrefetchProblem.from_validated` when the
-  probability provider is *trusted* (library-constructed workloads whose
-  rows were validated at generation time), skipping the per-request
-  re-validation of the same arrays;
-* demand-victim solves are **memoized** on ``(item, cache fingerprint)``
-  when the provider is static and no frequency-dependent sub-arbitration is
-  configured — the zero-window victim problem is a pure function of those
-  two inputs, and fleets revisit the same hot cache states constantly.
-
-Every path folds the identical floats in the identical order as the
-unshared originals; the golden-trace tests pin that down.
+  sorted tuples** (invalidated on membership change, rebuilt lazily), so no
+  request sorts the cache or the pending set;
+* provider rows are library-normalised (workload generators and
+  predictors), so planner problems are built through
+  :meth:`~repro.core.types.PrefetchProblem.from_validated`;
+* without an online model the rows never change, so demand-victim solves
+  are **memoized** on ``(item, cache fingerprint)`` (unless a
+  frequency-dependent sub-arbitration is configured) and per-item row
+  supports are cached.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 
 from repro.core.planner import PlanOutcome, Prefetcher
 from repro.core.types import PrefetchProblem
+from repro.simulation.metrics import AccessStats
 
-__all__ = ["ClientPlanState"]
+__all__ = [
+    "ClientPlanState",
+    "warm_start",
+    "arrive",
+    "serve",
+    "plan",
+    "step",
+]
 
 _MISS = object()  # memo sentinel (victims may legitimately be None)
+
+KIND_HIT = AccessStats.KIND_HIT
+KIND_WAIT = AccessStats.KIND_WAIT
+KIND_MISS = AccessStats.KIND_MISS
 
 
 class ClientPlanState:
@@ -64,7 +86,6 @@ class ClientPlanState:
         "pending",
         "frequencies",
         "model",
-        "_trusted",
         "_cache_tuple",
         "_pending_tuple",
         "_victim_memo",
@@ -79,17 +100,10 @@ class ClientPlanState:
         capacity: int,
         n_items: int,
         *,
-        trusted_provider: bool = False,
-        static_provider: bool = False,
         model=None,
     ) -> None:
         if capacity < 0:
             raise ValueError("cache_capacity must be non-negative")
-        if model is not None and static_provider:
-            raise ValueError(
-                "an online model's rows change per observation; "
-                "static_provider must be False"
-            )
         self.prefetcher = prefetcher
         self.provider = provider
         #: Optional online access model (:class:`repro.prediction.base
@@ -101,21 +115,20 @@ class ClientPlanState:
         self.capacity = int(capacity)
         self.cache: set[int] = set()
         self.origin: dict[int, str] = {}
-        self.pending: dict[int, float | None] = {}
+        self.pending: dict[int, float] = {}
         self.frequencies = np.zeros(int(n_items), dtype=np.float64)
-        self._trusted = bool(trusted_provider)
         self._cache_tuple: tuple[int, ...] | None = ()
         self._pending_tuple: tuple[int, ...] | None = ()
-        # The victim memo is sound only when provider rows never change and
-        # the victim choice ignores the (ever-changing) access frequencies.
+        # Without an online model the provider rows never change.  The
+        # victim memo also needs a victim choice that ignores the
+        # (ever-changing) access frequencies.
+        static = model is None
         self._victim_memo: dict | None = (
-            {} if static_provider and prefetcher.sub_arbitration is None else None
+            {} if static and prefetcher.sub_arbitration is None else None
         )
         # Per-item row support (flatnonzero), reusable only when rows never
         # change; the planner rescans the row itself otherwise.
-        self._support_cache: dict[int, list[int]] | None = (
-            {} if static_provider else None
-        )
+        self._support_cache: dict[int, list[int]] | None = {} if static else None
 
     # -- fingerprints ---------------------------------------------------
     def cache_key(self) -> tuple[int, ...]:
@@ -142,11 +155,11 @@ class ClientPlanState:
         self.origin.pop(item, None)
         self._cache_tuple = None
 
-    def pending_add(self, item: int, value: float | None) -> None:
+    def pending_add(self, item: int, value: float) -> None:
         self.pending[item] = value
         self._pending_tuple = None
 
-    def pending_pop(self, item: int) -> float | None:
+    def pending_pop(self, item: int) -> float:
         value = self.pending.pop(item)
         self._pending_tuple = None
         return value
@@ -159,15 +172,20 @@ class ClientPlanState:
         self.origin[item] = "prefetch"
         self._cache_tuple = None
 
+    def promote_ready(self, now: float) -> None:
+        """Promote every transfer that has landed by ``now``.
+
+        A transfer landing at exactly ``now`` counts as landed; one whose
+        completion is still unknown (``inf``: not yet granted a slot on a
+        contended uplink) stays pending.
+        """
+        done = [item for item, arrival in self.pending.items() if arrival <= now]
+        for item in done:
+            self.promote(item)
+
     # -- observation -----------------------------------------------------
     def observe(self, item: int) -> None:
-        """Record one served access: LFU/DS frequencies plus the online model.
-
-        The engines call this exactly where they used to bump
-        ``frequencies`` directly, so the oracle path folds the identical
-        float in the identical place and the online model sees the served
-        stream in request order.
-        """
+        """Record one served access: LFU/DS frequencies plus the online model."""
         self.frequencies[item] += 1.0
         if self.model is not None:
             self.model.update(item)
@@ -179,14 +197,11 @@ class ClientPlanState:
         """The planning instance for ``item``'s viewing period.
 
         ``row`` lets a caller that already fetched the provider row (e.g. to
-        compute its support) reuse it; the trusted/untrusted construction
-        dispatch lives only here.
+        compute its support) reuse it.
         """
         if row is None:
             row = self.provider(item)
-        if self._trusted:
-            return PrefetchProblem.from_validated(row, self.retrievals, window)
-        return PrefetchProblem(row, self.retrievals, window)
+        return PrefetchProblem.from_validated(row, self.retrievals, window)
 
     #: Victim-memo size bound: past this many distinct (item, cache-state)
     #: pairs the memo is cleared and refills with the currently-hot states,
@@ -217,9 +232,8 @@ class ClientPlanState:
     def admit_demand(self, item: int) -> None:
         """Admit a demand-fetched item, evicting a victim from a full cache.
 
-        The §5.2 block the three engines used to duplicate: with zero
-        capacity nothing is stored; a full cache asks the planner for a
-        victim *before* insertion (eviction lists leave the cache at
+        With zero capacity nothing is stored; a full cache asks the planner
+        for a victim *before* insertion (eviction lists leave the cache at
         planning time); the item is then recorded with demand origin.
         """
         if self.capacity <= 0:
@@ -233,9 +247,7 @@ class ClientPlanState:
     def plan_view(self, item: int, window: float) -> PlanOutcome:
         """Plan one viewing period and apply the eviction list.
 
-        Returns the outcome; scheduling the admitted prefetches (channel
-        arithmetic vs. uplink submission) stays engine-specific, but every
-        engine must register them via :meth:`pending_add`.
+        Returns the outcome; :func:`plan` registers its prefetches.
         """
         row = self.provider(item)
         problem = self.problem(item, window, row)
@@ -255,3 +267,123 @@ class ClientPlanState:
         for victim in outcome.eject:
             self.cache_discard(victim)
         return outcome
+
+
+# ---------------------------------------------------------------------------
+# The request step
+# ---------------------------------------------------------------------------
+
+def warm_start(state, stats, item, viewing, now, transfer, channel=None, memo=None):
+    """Pre-serve ``item`` at ``now`` (not scored) and plan its viewing period.
+
+    The channel is still empty, so the planning window is the whole
+    ``viewing`` time under either window mode.
+    """
+    state.observe(item)
+    if state.capacity > 0:
+        state.cache_add(item, "demand")
+    return plan(state, stats, item, viewing, now, transfer, channel, memo)
+
+
+def arrive(state, stats, item, now) -> int:
+    """Promote landed transfers, then classify the request arriving at ``now``.
+
+    A hit is served on the spot and counted here; a wait or a miss is
+    finished by :func:`serve` once its transfer lands.
+    """
+    if state.pending:
+        state.promote_ready(now)
+    if item in state.cache:
+        stats.cache_hits += 1
+        if state.origin.get(item) == "prefetch":
+            stats.prefetches_used += 1
+            state.origin[item] = "prefetch-used"
+        return KIND_HIT
+    if item in state.pending:
+        return KIND_WAIT
+    stats.misses += 1
+    return KIND_MISS
+
+
+def serve(state, stats, item, kind, t_req, t_serve) -> None:
+    """Serve the request made at ``t_req`` at ``t_serve``: record, observe.
+
+    A wait is served by its prefetch's arrival and a miss by the demand
+    transfer, which started only after the whole backlog drained — so
+    everything landed by ``t_serve`` is promoted first, and a miss is then
+    admitted into the cache.
+    """
+    if kind != KIND_HIT:
+        state.promote_ready(t_serve)
+        if kind == KIND_WAIT:
+            stats.pending_waits += 1
+            stats.prefetches_used += 1
+            state.origin[item] = "prefetch-used"
+        else:
+            state.admit_demand(item)
+    stats.access_times.append(t_serve - t_req)
+    stats.request_times.append(t_req)
+    stats.serve_kinds.append(kind)
+    state.observe(item)
+
+
+def plan(state, stats, item, window, now, transfer, channel=None, memo=None):
+    """Plan the viewing period after ``item`` and register its prefetches.
+
+    Each admitted prefetch goes on ``channel`` at ``now`` and is pending
+    until its completion.  With ``channel=None`` the caller submits the
+    returned outcome's prefetches itself: they are pending with an unknown
+    (``inf``) completion, which the caller fills in when it learns it.
+    ``memo`` (a cohort's shared plan memo) may replay an earlier identical
+    decision instead of solving.
+
+    Raises ``RuntimeError`` if cached plus in-flight items exceed the
+    capacity: each admitted prefetch must be paired with a victim or a free
+    slot.  (An explicit error, not an ``assert``: it must also fire under
+    ``python -O``.)
+    """
+    if memo is None:
+        outcome = state.plan_view(item, window)
+    else:
+        outcome = memo.plan(state, item, window)
+    prefetch = outcome.prefetch.items
+    if prefetch:
+        for f in prefetch:
+            duration = transfer[f]
+            state.pending_add(
+                f, math.inf if channel is None else channel.enqueue(now, duration, True)
+            )
+            stats.prefetches_scheduled += 1
+            stats.network_prefetch_time += duration
+        if len(state.cache) + len(state.pending) > state.capacity:
+            raise RuntimeError(
+                f"{len(state.cache)} cached + {len(state.pending)} in-flight items "
+                f"exceed the cache capacity {state.capacity}"
+            )
+    return outcome
+
+
+def step(state, stats, item, viewing, now, transfer, channel, effective, memo=None):
+    """One request at ``now`` over a sequential channel.
+
+    Returns ``(t_serve, outcome)``: when the request was served and the
+    plan for the viewing period that follows.
+
+    A miss queues its demand transfer behind the whole backlog; a wait is
+    served when its prefetch lands.  ``effective`` shrinks the planning
+    window by the backlog still queued at ``t_serve``.
+    """
+    kind = arrive(state, stats, item, now)
+    if kind == KIND_HIT:
+        t_serve = now
+    elif kind == KIND_WAIT:
+        t_serve = state.pending[item]
+    else:
+        duration = transfer[item]
+        stats.network_demand_time += duration
+        t_serve = channel.enqueue(now, duration, False)
+    serve(state, stats, item, kind, now, t_serve)
+    window = viewing
+    if effective:
+        window = max(0.0, viewing - channel.backlog(t_serve))
+    return t_serve, plan(state, stats, item, window, t_serve, transfer, channel, memo)

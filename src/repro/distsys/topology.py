@@ -673,7 +673,6 @@ class CacheNetwork:
         self.server = ItemServer(
             population.sizes, cache=server_cache, miss_penalty=config.miss_penalty
         )
-        self.access_link = Link(latency=config.latency, bandwidth=config.bandwidth)
         self.origin = ServerUplink(
             self.queue,
             self.server,
@@ -692,11 +691,15 @@ class CacheNetwork:
             # probabilities that defeat bound pruning (see core.planner).
             node_budget=ONLINE_NODE_BUDGET if config.model_source == "online" else None,
         )
+        retrievals = self.server.retrieval_times(
+            Link(latency=config.latency, bandwidth=config.bandwidth)
+        )
+        transfer = retrievals.tolist()
         self.clients = [
             FleetClient(
                 workload,
-                self.server,
-                self.access_link,
+                retrievals,
+                transfer,
                 attach[i],
                 self.queue,
                 prefetcher,

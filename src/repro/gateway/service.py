@@ -107,9 +107,7 @@ class GatewayService:
         self.config = config
         self.link = Link(latency=config.latency, bandwidth=config.bandwidth)
         self.retrievals = self.link.retrieval_times(config.sizes)
-        self.store = SessionStore(
-            config.session, self.retrievals, clock=clock, link=self.link
-        )
+        self.store = SessionStore(config.session, self.retrievals, clock=clock)
         self.hierarchy = (
             GatewayCacheHierarchy(
                 config.tiers,

@@ -12,12 +12,12 @@ solve.  Each session owns a sequential :class:`~repro.distsys.network
 .Channel` (the §2 non-preemptive client downlink) whose clock advances by
 the reported viewing times: prefetches enqueue back-to-back transfers,
 demand misses wait for the whole backlog, and a prefetch that has not
-landed by the next request is a *wait*, not a hit.  This is byte-for-byte
-the arithmetic of :class:`repro.distsys.client.Client` — so replaying a
-workload through the gateway reproduces the closed-loop simulator's serve
-kinds exactly (``tests/gateway/`` pins this, and the open-loop vs
-closed-loop hit-rate criterion in ``benchmarks/bench_gateway.py`` relies
-on it).
+landed by the next request is a *wait*, not a hit.  Each report is one
+:func:`repro.distsys.planning.step`, the request step every engine runs —
+so replaying a workload through the gateway reproduces the closed-loop
+simulator's serve kinds and access times exactly (``tests/gateway/`` pins
+this, and the open-loop vs closed-loop hit-rate criterion in
+``benchmarks/bench_gateway.py`` relies on it).
 
 Sessions live in a :class:`SessionStore` with two eviction axes a real
 service needs: a TTL (sessions idle longer than ``ttl`` wall-clock seconds
@@ -34,8 +34,8 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
-from repro.distsys.network import Channel, Link
-from repro.distsys.planning import ClientPlanState
+from repro.distsys.network import Channel
+from repro.distsys.planning import ClientPlanState, step, warm_start
 from repro.simulation.metrics import AccessStats
 
 __all__ = ["SessionConfig", "Advice", "GatewaySession", "SessionStore"]
@@ -147,7 +147,6 @@ class GatewaySession:
         retrievals: np.ndarray,
         prefetcher: Prefetcher,
         *,
-        link: Link | None = None,
         model=None,
         provider: Callable[[int], np.ndarray] | None = None,
         created_at: float = 0.0,
@@ -161,46 +160,23 @@ class GatewaySession:
             retrievals,
             config.cache_capacity,
             int(np.asarray(retrievals).shape[0]),
-            trusted_provider=True,
-            static_provider=model is None,
             model=model,
         )
         self.stats = AccessStats()
-        self.channel = Channel(link if link is not None else Link())
+        self.channel = Channel()
         self.clock = 0.0  # virtual time of the *next* expected request
         self.created_at = float(created_at)
         self._transfer = np.asarray(retrievals, dtype=np.float64).tolist()
         self._started = False
         self._index = 0
 
-    # -- virtual-time arithmetic (Client-engine semantics) ----------------
-    def _promote_ready(self, now: float) -> None:
-        state = self.state
-        done = [
-            item for item, arrival in state.pending.items() if arrival <= now
-        ]
-        for item in done:
-            state.promote(item)
-
-    def _view(self, item: int, viewing: float, now: float):
-        state = self.state
-        outcome = state.plan_view(item, viewing)
-        for f in outcome.prefetch:
-            duration = self._transfer[f]
-            _, completion = self.channel.enqueue_duration(now, duration)
-            state.pending_add(f, completion)
-            self.stats.prefetches_scheduled += 1
-            self.stats.network_prefetch_time += duration
-        assert len(state.cache) + len(state.pending) <= max(state.capacity, 0)
-        return outcome
-
     def report(self, item: int, viewing_time: float) -> Advice:
         """Ingest one access report; return prefetch advice for its viewing.
 
         The first report of a session is the warm start (§5.3's pre-served
         initial item): it seeds the cache, plans, and is not scored.  Every
-        later report replays :meth:`repro.distsys.client.Client.request`
-        followed by ``view`` on the session's virtual clock.
+        later report is one :func:`repro.distsys.planning.step` on the
+        session's virtual clock.
         """
         item = int(item)
         if not 0 <= item < len(self._transfer):
@@ -210,63 +186,27 @@ class GatewaySession:
         viewing = float(viewing_time)
         if not viewing >= 0.0:
             raise ValueError("viewing_time must be non-negative")
-        state = self.state
         index = self._index
         self._index = index + 1
 
         if not self._started:
             self._started = True
-            state.observe(item)
-            if state.capacity > 0:
-                state.cache_add(item, "demand")
-            outcome = self._view(item, viewing, now=0.0)
-            self.clock = viewing
-            return Advice(
-                session=self.session_id,
-                index=index,
-                served="warm",
-                access_time=0.0,
-                t_request=0.0,
-                t_serve=0.0,
-                prefetch=tuple(outcome.prefetch.items),
-                evict=tuple(outcome.eject),
+            outcome = warm_start(
+                self.state, self.stats, item, viewing, 0.0, self._transfer, self.channel
             )
-
-        t_req = self.clock
-        self._promote_ready(t_req)
-        if item in state.cache:
-            kind = AccessStats.KIND_HIT
-            t_serve = t_req
-            self.stats.cache_hits += 1
-            if state.origin.get(item) == "prefetch":
-                self.stats.prefetches_used += 1
-                state.origin[item] = "prefetch-used"
-        elif item in state.pending:
-            kind = AccessStats.KIND_WAIT
-            t_serve = state.pending[item]
-            self._promote_ready(t_serve)  # lands the item and earlier ones
-            self.stats.pending_waits += 1
-            self.stats.prefetches_used += 1
-            state.origin[item] = "prefetch-used"
+            served, t_req, t_serve = "warm", 0.0, 0.0
         else:
-            kind = AccessStats.KIND_MISS
-            duration = self._transfer[item]
-            _, t_serve = self.channel.enqueue_duration(t_req, duration)
-            self.stats.network_demand_time += duration
-            self.stats.misses += 1
-            self._promote_ready(t_serve)  # backlog drained by completion
-            state.admit_demand(item)
-
-        self.stats.access_times.append(t_serve - t_req)
-        self.stats.request_times.append(t_req)
-        self.stats.serve_kinds.append(kind)
-        state.observe(item)
-        outcome = self._view(item, viewing, now=t_serve)
+            t_req = self.clock
+            t_serve, outcome = step(
+                self.state, self.stats, item, viewing, t_req, self._transfer,
+                self.channel, False,
+            )
+            served = _KIND_NAMES[self.stats.serve_kinds[-1]]
         self.clock = t_serve + viewing
         return Advice(
             session=self.session_id,
             index=index,
-            served=_KIND_NAMES[kind],
+            served=served,
             access_time=t_serve - t_req,
             t_request=t_req,
             t_serve=t_serve,
@@ -322,11 +262,9 @@ class SessionStore:
         retrievals: np.ndarray,
         *,
         clock: Callable[[], float],
-        link: Link | None = None,
     ) -> None:
         self.config = config
         self.retrievals = np.ascontiguousarray(retrievals, dtype=np.float64)
-        self.link = link if link is not None else Link()
         self.prefetcher = config.build_prefetcher()
         self.counters = StoreCounters()
         self._clock = clock
@@ -387,7 +325,6 @@ class SessionStore:
                 self.config,
                 self.retrievals,
                 self.prefetcher,
-                link=self.link,
                 model=self._build_model() if provider is None else None,
                 provider=provider,
                 created_at=now,

@@ -1,10 +1,10 @@
 """Aggregation helpers for simulation output (binning, summaries, fleets).
 
 Besides the Figure 5 binning utilities, this module owns the shared
-per-client access accounting (:class:`AccessStats`, historically
-``repro.distsys.client.ClientStats``) and its population-level roll-up
-(:func:`aggregate_access_stats`), so the single-client engines and the fleet
-simulator report through one dataclass instead of three near-duplicates.
+per-client access accounting (:class:`AccessStats`, which the request-step
+kernel of :mod:`repro.distsys.planning` fills) and its population-level
+roll-up (:func:`aggregate_access_stats`), so every engine reports through
+one dataclass.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ __all__ = [
 
 @dataclass
 class AccessStats:
-    """Per-client access accounting shared by the event-driven engines.
+    """Per-client access accounting shared by every engine.
 
     One instance accumulates the life of one client: how requests were
     served (``cache_hits`` / ``pending_waits`` / ``misses``), what the
     prefetcher did, how much network time each traffic class consumed, and
     the per-request access times themselves.
 
-    ``request_times`` / ``serve_kinds`` are optional per-request recordings
-    (aligned with ``access_times``, in serve order) that the fleet engines
-    fill for the windowed drift metrics; the lean single-client engines
-    leave them empty.  ``serve_kinds`` entries are the ``KIND_*`` codes.
+    ``request_times`` / ``serve_kinds`` are per-request recordings (aligned
+    with ``access_times``, in serve order) for the windowed drift metrics;
+    hand-built instances may leave them empty.  ``serve_kinds`` entries are
+    the ``KIND_*`` codes.
     """
 
     KIND_HIT = 0

@@ -22,6 +22,10 @@ Timeline semantics (single channel, DESIGN.md §3):
 * eviction lists ``D`` leave the cache at planning time, exactly as
   equation (9) assumes; each admitted prefetch is paired with a victim or a
   free slot, so occupancy (cache + in-flight) never exceeds capacity.
+
+Each request is one :func:`repro.distsys.planning.step` over a
+:class:`~repro.distsys.network.Channel` — the request-step kernel every
+engine runs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.planner import Prefetcher
-from repro.distsys.planning import ClientPlanState
+from repro.distsys import planning
+from repro.distsys.network import Channel
+from repro.simulation.metrics import AccessStats
 from repro.util.rng import as_generator
 from repro.workload.markov_source import MarkovSource
 
@@ -99,119 +105,49 @@ def run_prefetch_cache(source: MarkovSource, config: PrefetchCacheConfig) -> Pre
     """Simulate ``n_requests`` requests of the Figure 7 loop (see module doc)."""
     rng = as_generator(config.seed)
     n = source.n
-    capacity = int(config.cache_size)
-    r = source.retrieval_times
-    r_list = r.tolist()
+    transfer = source.retrieval_times.tolist()
     cdf = np.cumsum(source.transition, axis=1)
     viewing_list = source.viewing_times.tolist()
+    effective = config.planning_window == "effective"
 
     prefetcher = Prefetcher(
         strategy=config.strategy,
         variant=config.skp_variant,
         sub_arbitration=config.sub_arbitration,
     )
-    # The Markov rows are generated (and normalised) by the source, so the
-    # shared planning state runs trusted + static: validate-once problems and
-    # memoized zero-window demand-victim solves.
-    ps = ClientPlanState(
-        prefetcher, source.row, r, capacity, n,
-        trusted_provider=True, static_provider=True,
+    state = planning.ClientPlanState(
+        prefetcher, source.row, source.retrieval_times, config.cache_size, n
     )
-    cache = ps.cache
-    origin = ps.origin
-    pending = ps.pending
-
-    t = 0.0
-    net_free = 0.0
-    state = int(rng.integers(n))
-
-    access_times = np.empty(config.n_requests, dtype=np.float64)
-    hit_counts = {"cache-hit": 0, "pending-wait": 0, "miss": 0}
-    prefetches_scheduled = 0
-    prefetches_used = 0
-    network_prefetch_time = 0.0
-    network_demand_time = 0.0
-
-    def promote(now: float) -> None:
-        """Move completed transfers into the cache."""
-        done = [item for item, arrival in pending.items() if arrival <= now]
-        for item in done:
-            ps.promote(item)
-
-    def plan_and_schedule(current: int, window: float) -> None:
-        nonlocal net_free, prefetches_scheduled, network_prefetch_time
-        outcome = ps.plan_view(current, window)
-        start = max(t, net_free)
-        for item in outcome.prefetch:
-            duration = r_list[item]
-            start += duration
-            ps.pending_add(item, start)
-            prefetches_scheduled += 1
-            network_prefetch_time += duration
-        if outcome.prefetch:
-            net_free = start
-        assert len(cache) + len(pending) <= capacity
+    stats = AccessStats()
+    channel = Channel()
 
     # Initial state: treat its item as just served at t=0, then view and plan.
-    ps.observe(state)
-    cache_window = viewing_list[state]
-    if capacity > 0:
-        ps.cache_add(state, "demand")
-    plan_and_schedule(state, cache_window)
-    t += cache_window
+    current = int(rng.integers(n))
+    planning.warm_start(
+        state, stats, current, viewing_list[current], 0.0, transfer, channel
+    )
+    t = viewing_list[current]
 
-    u = rng.random(config.n_requests)
-    u_list = u.tolist()
+    u_list = rng.random(config.n_requests).tolist()
     for k in range(config.n_requests):
-        nxt = int(np.searchsorted(cdf[state], u_list[k], side="right"))
-        if nxt >= n:
-            nxt = n - 1
-        x = nxt
-        t_req = t
-        promote(t_req)
-
-        if x in cache:
-            access = 0.0
-            hit_counts["cache-hit"] += 1
-            if origin.get(x) == "prefetch":
-                prefetches_used += 1
-                origin[x] = "prefetch-used"
-        elif x in pending:
-            access = pending[x] - t_req
-            hit_counts["pending-wait"] += 1
-            prefetches_used += 1
-            promote(pending[x])
-            origin[x] = "prefetch-used"
-        else:
-            # Demand fetch: every scheduled transfer completes first (§2).
-            start = max(net_free, t_req)
-            completion = start + r_list[x]
-            access = completion - t_req
-            net_free = completion
-            network_demand_time += r_list[x]
-            hit_counts["miss"] += 1
-            promote(net_free)  # everything pending finished by now
-            ps.admit_demand(x)
-
-        access_times[k] = access
-        t_serve = t_req + access
-        t = t_serve
-        ps.observe(x)
-
-        window = viewing_list[x]
-        if config.planning_window == "effective":
-            window = max(0.0, window - max(0.0, net_free - t_serve))
-        plan_and_schedule(x, window)
-
-        t += viewing_list[x]
-        state = x
+        nxt = int(np.searchsorted(cdf[current], u_list[k], side="right"))
+        current = nxt if nxt < n else n - 1
+        viewing = viewing_list[current]
+        t_serve, _ = planning.step(
+            state, stats, current, viewing, t, transfer, channel, effective
+        )
+        t = t_serve + viewing
 
     return PrefetchCacheResult(
         config=config,
-        access_times=access_times,
-        hit_counts=hit_counts,
-        prefetches_scheduled=prefetches_scheduled,
-        prefetches_used=prefetches_used,
-        network_prefetch_time=network_prefetch_time,
-        network_demand_time=network_demand_time,
+        access_times=np.asarray(stats.access_times, dtype=np.float64),
+        hit_counts={
+            "cache-hit": stats.cache_hits,
+            "pending-wait": stats.pending_waits,
+            "miss": stats.misses,
+        },
+        prefetches_scheduled=stats.prefetches_scheduled,
+        prefetches_used=stats.prefetches_used,
+        network_prefetch_time=stats.network_prefetch_time,
+        network_demand_time=stats.network_demand_time,
     )

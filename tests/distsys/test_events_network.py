@@ -3,6 +3,7 @@
 import pytest
 
 from repro.distsys import Channel, EventQueue, Link
+from repro.distsys.network import ServiceSums
 
 
 class TestEventQueue:
@@ -24,16 +25,6 @@ class TestEventQueue:
         q.run()
         assert seen == [1, 2]
 
-    def test_run_until_leaves_later_events(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(1.0, lambda: seen.append(1))
-        q.schedule(5.0, lambda: seen.append(5))
-        q.run(until=2.0)
-        assert seen == [1]
-        assert q.now == 2.0  # clock advances to the horizon
-        assert len(q) == 1
-
     def test_cannot_schedule_in_the_past(self):
         q = EventQueue()
         q.schedule(1.0, lambda: None)
@@ -44,7 +35,7 @@ class TestEventQueue:
     def test_events_may_schedule_events(self):
         q = EventQueue()
         seen = []
-        q.schedule(1.0, lambda: q.schedule_in(1.0, lambda: seen.append("x")))
+        q.schedule(1.0, lambda: q.schedule(q.now + 1.0, lambda: seen.append("x")))
         q.run()
         assert seen == ["x"] and q.now == 2.0
 
@@ -72,22 +63,36 @@ class TestLink:
 
 class TestChannel:
     def test_sequential_transfers(self):
-        ch = Channel(Link(latency=0.0, bandwidth=1.0))
-        s1, c1 = ch.enqueue(0.0, 5.0)
-        s2, c2 = ch.enqueue(0.0, 3.0)
-        assert (s1, c1) == (0.0, 5.0)
-        assert (s2, c2) == (5.0, 8.0)
+        ch = Channel()
+        assert ch.enqueue(0.0, 5.0, True) == 5.0
+        assert ch.enqueue(0.0, 3.0, True) == 8.0  # queued behind the first
 
     def test_idle_gap_not_reused(self):
-        ch = Channel(Link())
-        ch.enqueue(0.0, 1.0)
-        s, c = ch.enqueue(10.0, 1.0)  # channel idle since t=1
-        assert (s, c) == (10.0, 11.0)
+        ch = Channel()
+        ch.enqueue(0.0, 1.0, True)
+        assert ch.enqueue(10.0, 1.0, False) == 11.0  # channel idle since t=1
 
     def test_backlog(self):
-        ch = Channel(Link())
-        ch.enqueue(0.0, 4.0)
+        ch = Channel()
+        ch.enqueue(0.0, 4.0, True)
         assert ch.backlog(1.0) == pytest.approx(3.0)
         assert ch.backlog(9.0) == 0.0
-        assert ch.idle_at(4.0)
-        assert ch.total_busy_time == pytest.approx(4.0)
+        assert ch.sums.total == pytest.approx(4.0)
+
+    def test_penalty_and_backlog_fold_like_the_uplink(self):
+        # The in-flight head carries the server penalty; queued transfers
+        # count only their bare durations, as ServerUplink.backlog folds.
+        ch = Channel(penalty=2.0)
+        assert ch.enqueue(0.0, 4.0, True) == 6.0
+        assert ch.enqueue(0.0, 3.0, True) == 11.0
+        assert ch.backlog(1.0) == 6.0 + 3.0 - 1.0
+        assert ch.backlog(7.0) == 11.0 - 7.0
+
+    def test_channels_share_service_sums_in_enqueue_order(self):
+        sums = ServiceSums()
+        a, b = Channel(1.0, sums), Channel(1.0, sums)
+        a.enqueue(0.0, 2.0, True)
+        b.enqueue(0.0, 4.0, False)
+        assert sums.total == 3.0 + 5.0
+        assert sums.prefetch == 3.0
+        assert sums.squares == 9.0 + 25.0

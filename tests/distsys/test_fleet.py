@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUCache
-from repro.distsys import EventQueue, FleetConfig, ItemServer, ServerUplink, run_fleet
+from repro.distsys import (
+    Channel,
+    EventQueue,
+    FleetConfig,
+    ItemServer,
+    ServerUplink,
+    run_fleet,
+)
 from repro.distsys.fleet import Fleet
 from repro.simulation.metrics import AccessStats, aggregate_access_stats
 from repro.workload.population import markov_population, zipf_mixture_population
@@ -76,11 +83,31 @@ class TestServerUplink:
         uplink.submit(0, 0, 4.0, 0.0, lambda t: None)
         uplink.submit(0, 1, 3.0, 0.0, lambda t: None)
         assert uplink.backlog(0, 0.0) == pytest.approx(7.0)
-        queue.run(until=5.0)
-        assert uplink.backlog(0, 5.0) == pytest.approx(2.0)
+        mid_run = []
+        queue.schedule(5.0, lambda: mid_run.append(uplink.backlog(0, queue.now)))
         queue.run()
+        assert mid_run == [pytest.approx(2.0)]
         assert uplink.backlog(0, queue.now) == 0.0
         assert uplink.idle()
+
+    def test_backlog_folds_like_a_penalised_channel(self):
+        # An unbounded uplink is a private channel per flow: the same
+        # submissions give bit-identical backlogs, server penalty included.
+        server = ItemServer.uniform(8)
+        server.miss_penalty = 1.5
+        queue, uplink = make_uplink(None, server=server)
+        channel = Channel(penalty=1.5)
+        for item, duration in enumerate((4.0, 3.0, 2.5)):
+            uplink.submit(0, item, duration, 0.0, lambda t: None)
+            channel.enqueue(0.0, duration, True)
+        seen = []
+        for at in (0.0, 5.4, 5.5, 9.0, 12.0):
+            queue.schedule(at, lambda: seen.append(
+                (uplink.backlog(0, queue.now), channel.backlog(queue.now))
+            ))
+        queue.run()
+        assert [u for u, _ in seen] == [c for _, c in seen]
+        assert seen[0][0] == 5.5 + 3.0 + 2.5
 
     def test_server_cache_penalty_applies_on_miss(self):
         server = ItemServer.uniform(4, 2.0)

@@ -267,8 +267,6 @@ def _fresh_state():
         _RETRIEVALS,
         3,
         N_ITEMS,
-        trusted_provider=True,
-        static_provider=True,
     )
 
 
@@ -314,7 +312,7 @@ def test_plan_memo_key_determines_outcome(ops):
                 and item not in state.cache
                 and len(state.cache) + len(state.pending) < state.capacity
             ):
-                state.pending_add(item, None)
+                state.pending_add(item, math.inf)
         elif op == "pop":
             if item in state.pending:
                 state.pending_pop(item)
@@ -330,4 +328,4 @@ def test_plan_memo_key_determines_outcome(ops):
             else:
                 seen[key] = decision
             for f in outcome.prefetch:
-                state.pending_add(f, None)
+                state.pending_add(f, math.inf)

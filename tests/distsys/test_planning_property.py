@@ -13,6 +13,8 @@ timeline.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,14 @@ def _provider(item: int) -> np.ndarray:
     return _P[int(item)]
 
 
+class _SilentModel:
+    """An online model that learns nothing; it switches the static-row fast
+    paths off."""
+
+    def update(self, item: int) -> None:
+        pass
+
+
 def _fresh_state(capacity: int, *, static: bool) -> ClientPlanState:
     return ClientPlanState(
         Prefetcher(strategy="skp"),
@@ -45,8 +55,7 @@ def _fresh_state(capacity: int, *, static: bool) -> ClientPlanState:
         _RETRIEVALS,
         capacity,
         N_ITEMS,
-        trusted_provider=True,
-        static_provider=static,
+        model=None if static else _SilentModel(),
     )
 
 
@@ -85,7 +94,7 @@ def _apply(state: ClientPlanState, op: str, item: int, window: float) -> None:
             and item not in state.cache
             and len(state.cache) + len(state.pending) < state.capacity
         ):
-            state.pending_add(item, None)
+            state.pending_add(item, math.inf)
     elif op == "pop":
         if item in state.pending:
             state.pending_pop(item)
@@ -97,7 +106,7 @@ def _apply(state: ClientPlanState, op: str, item: int, window: float) -> None:
     elif op == "plan":
         outcome = state.plan_view(item, window)
         for f in outcome.prefetch:
-            state.pending_add(f, None)
+            state.pending_add(f, math.inf)
 
 
 @given(capacity=st.integers(0, 4), ops=operations)

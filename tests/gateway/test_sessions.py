@@ -8,13 +8,13 @@ from repro.gateway.sessions import GatewaySession, SessionConfig, SessionStore
 from repro.workload.population import zipf_mixture_population
 
 
-def _store(config=None, *, now=None, link=None):
+def _store(config=None, *, now=None):
     """A SessionStore over a 20-item unit catalog with an injectable clock."""
     clock_value = [0.0] if now is None else now
     config = config or SessionConfig()
     retrievals = np.ones(20)
     return (
-        SessionStore(config, retrievals, clock=lambda: clock_value[0], link=link),
+        SessionStore(config, retrievals, clock=lambda: clock_value[0]),
         clock_value,
     )
 
@@ -175,7 +175,7 @@ class TestSessionStore:
 
 
 class TestClosedLoopEquivalence:
-    """A gateway session folds exactly the Client-engine arithmetic."""
+    """A gateway session replays the unbounded fleet exactly."""
 
     @pytest.mark.parametrize("predictor", ["frequency:ewma", "markov:ewma"])
     def test_replay_matches_unbounded_fleet(self, predictor):
@@ -199,6 +199,4 @@ class TestClosedLoopEquivalence:
             ):
                 session.report(int(item), float(view))
             assert session.stats.serve_kinds == stats.serve_kinds
-            np.testing.assert_allclose(
-                session.stats.access_times, stats.access_times
-            )
+            assert session.stats.access_times == stats.access_times

@@ -1,31 +1,28 @@
 """Cross-engine integration test.
 
 The lean §5.3 simulator (:func:`repro.simulation.prefetch_cache
-.run_prefetch_cache`) and the event-driven client
-(:mod:`repro.distsys.client`) implement the same semantics through entirely
-different machinery (inline timeline arithmetic vs. channel + event queue).
-On an equal-footing configuration — unit link, item sizes equal to the
-catalog retrieval times, oracle probability provider, identical request
-sequence and seed — their per-request access times must agree *exactly*.
+.run_prefetch_cache`) folds each request synchronously over a private
+channel; the fleet (:func:`repro.distsys.fleet.run_fleet`) learns every
+transfer completion from its uplink through the event queue.  On an
+equal-footing configuration — unit link, item sizes equal to the catalog
+retrieval times, oracle probability provider, identical request sequence
+and seed — a 1-client fleet over an unbounded uplink must reproduce the
+lean engine *exactly*.
 
-This is the strongest correctness statement in the suite: any divergence in
-carry-over handling, promotion order, arbitration, or planning windows
-breaks it.
+Both engines run the same request step (:mod:`repro.distsys.planning`), so
+this pins the event plumbing around it: any divergence in carry-over
+handling, promotion order or planning windows breaks it.  The golden
+traces below pin the step itself.
 """
 
 import numpy as np
 import pytest
 
 from repro.cache.policies import LRUCache
-from repro.core.planner import Prefetcher
 from repro.distsys import (
-    Client,
     FleetConfig,
-    ItemServer,
-    Link,
     TopologyConfig,
     run_fleet,
-    run_session,
     run_topology,
 )
 from repro.simulation import PrefetchCacheConfig, run_prefetch_cache
@@ -43,7 +40,8 @@ from repro.workload.population import (
     [("none", None), ("kp", None), ("skp", None), ("skp", "lfu"), ("skp", "ds")],
 )
 @pytest.mark.parametrize("window", ["nominal", "effective"])
-def test_engines_agree_exactly(strategy, sub, window):
+def test_lean_matches_single_client_fleet(strategy, sub, window):
+    """A 1-client fleet over an unbounded uplink IS the lean engine."""
     seed = 1234
     n_requests = 300
     source = generate_markov_source(30, out_degree=(3, 6), seed=8)
@@ -65,65 +63,6 @@ def test_engines_agree_exactly(strategy, sub, window):
     # exactly what record_markov_trace does with the same seed.
     initial = int(np.random.default_rng(seed).integers(source.n))
     trace = record_markov_trace(source, n_requests, seed=seed)
-
-    client = Client(
-        ItemServer(source.retrieval_times),
-        Link(latency=0.0, bandwidth=1.0),
-        6,
-        Prefetcher(strategy=strategy, sub_arbitration=sub),
-        probability_provider=lambda item: source.row(item),
-        planning_window=window,
-    )
-    session = run_session(
-        client,
-        trace,
-        initial_item=initial,
-        initial_viewing_time=float(source.viewing_times[initial]),
-    )
-
-    np.testing.assert_allclose(session.access_times, lean.access_times, atol=1e-9)
-    assert client.stats.prefetches_scheduled == lean.prefetches_scheduled
-    assert {
-        "cache-hit": client.stats.cache_hits,
-        "pending-wait": client.stats.pending_waits,
-        "miss": client.stats.misses,
-    } == lean.hit_counts
-
-
-@pytest.mark.parametrize(
-    "strategy,sub",
-    [("none", None), ("kp", None), ("skp", None), ("skp", "lfu"), ("skp", "ds")],
-)
-@pytest.mark.parametrize("window", ["nominal", "effective"])
-def test_degenerate_fleet_matches_single_client(strategy, sub, window):
-    """A 1-client fleet over an unbounded uplink IS the single-client engine.
-
-    Completion times in the fleet emerge from event-queue scheduling instead
-    of channel arithmetic, but the timeline folds the same floats in the
-    same order — so access times must agree *bit-exactly*, not just within
-    tolerance, and every stats counter must match.
-    """
-    seed = 1234
-    n_requests = 300
-    source = generate_markov_source(30, out_degree=(3, 6), seed=8)
-    initial = int(np.random.default_rng(seed).integers(source.n))
-    trace = record_markov_trace(source, n_requests, seed=seed)
-
-    client = Client(
-        ItemServer(source.retrieval_times),
-        Link(latency=0.0, bandwidth=1.0),
-        6,
-        Prefetcher(strategy=strategy, sub_arbitration=sub),
-        probability_provider=lambda item: source.row(item),
-        planning_window=window,
-    )
-    session = run_session(
-        client,
-        trace,
-        initial_item=initial,
-        initial_viewing_time=float(source.viewing_times[initial]),
-    )
-
     population = Population(
         sizes=source.retrieval_times,
         clients=(
@@ -148,19 +87,16 @@ def test_degenerate_fleet_matches_single_client(strategy, sub, window):
     )
 
     stats = fleet.client_stats[0]
-    np.testing.assert_array_equal(
-        np.asarray(stats.access_times), session.access_times
-    )
-    assert stats.cache_hits == client.stats.cache_hits
-    assert stats.pending_waits == client.stats.pending_waits
-    assert stats.misses == client.stats.misses
-    assert stats.prefetches_scheduled == client.stats.prefetches_scheduled
-    assert stats.prefetches_used == client.stats.prefetches_used
-    assert stats.network_prefetch_time == client.stats.network_prefetch_time
-    assert stats.network_demand_time == client.stats.network_demand_time
-    # The fleet drains in-flight prefetches after the last serve, so its
-    # makespan can only extend the session's duration, never shrink it.
-    assert fleet.makespan >= session.duration - 1e-9
+    assert stats.access_times == lean.access_times.tolist()
+    assert {
+        "cache-hit": stats.cache_hits,
+        "pending-wait": stats.pending_waits,
+        "miss": stats.misses,
+    } == lean.hit_counts
+    assert stats.prefetches_scheduled == lean.prefetches_scheduled
+    assert stats.prefetches_used == lean.prefetches_used
+    assert stats.network_prefetch_time == lean.network_prefetch_time
+    assert stats.network_demand_time == lean.network_demand_time
 
 
 # ---------------------------------------------------------------------------
