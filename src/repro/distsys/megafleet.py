@@ -84,7 +84,7 @@ __all__ = [
 #: ``ClientPlanState._VICTIM_MEMO_LIMIT``, sized for full PlanOutcomes).
 _PLAN_MEMO_LIMIT = 1 << 16
 
-#: Struct-of-arrays chunk: how many clients' trace/viewing/stat arrays are
+#: Chunk size: how many clients' traces, planning states and stats are
 #: resident at once.  Bounds kernel memory at O(chunk × requests) while the
 #: cohort memos persist across chunks.
 _CHUNK_CLIENTS = 4096
@@ -175,7 +175,7 @@ class CohortFleetResult(FleetResult):
 
 
 class CohortFleet:
-    """Struct-of-arrays cohort kernel over an unbounded-uplink fleet.
+    """Cohort kernel over an unbounded-uplink fleet.
 
     See the module docstring for semantics.  ``stats`` selects the output
     shape: ``"full"`` materialises per-client :class:`AccessStats`
@@ -266,9 +266,9 @@ class CohortFleet:
         for lo in range(0, n_clients, _CHUNK_CLIENTS):
             chunk = clients[lo:lo + _CHUNK_CLIENTS]
             b = len(chunk)
-            # Struct-of-arrays chunk state, one row per client, in plain
-            # Python lists: per-element numpy access boxes a scalar per
-            # read, which costs more than the step itself.
+            # Trace tables as plain Python lists, one row per client:
+            # per-element numpy access boxes a scalar per read, which costs
+            # more than the step itself.
             items_rows = [[int(x) for x in w.trace.items] for w in chunk]
             views_rows = [w.trace.viewing_times.tolist() for w in chunk]
             lens = [len(r) for r in items_rows]

@@ -82,26 +82,30 @@ class Channel:
     times known at enqueue.
     """
 
-    __slots__ = ("penalty", "busy_until", "sums", "_stretch")
+    __slots__ = ("penalty", "busy_until", "sums", "_start", "_durations")
 
     def __init__(self, penalty: float = 0.0, sums: ServiceSums | None = None) -> None:
         self.penalty = float(penalty)
         self.busy_until = 0.0
         self.sums = ServiceSums() if sums is None else sums
-        # (completion, duration) of every transfer since the channel was
-        # last idle, in order: the ones still outstanding are a suffix.
-        self._stretch: list[tuple[float, float]] = []
+        # The transfers since the channel was last idle: when the first one
+        # started, and every duration in order.  Their completions are
+        # recomputed on demand by the same additions ``enqueue`` made.
+        self._start = 0.0
+        self._durations: list[float] = []
 
     def enqueue(self, now: float, duration: float, prefetch: bool) -> float:
         """Schedule a transfer of ``duration``; returns its completion time."""
         service = duration + self.penalty
         busy = self.busy_until
         if busy > now:
-            self.busy_until = busy = busy + service
-            self._stretch.append((busy, duration))
+            busy += service
         else:  # idle: everything enqueued before has landed
-            self.busy_until = busy = now + service
-            self._stretch = [(busy, duration)]
+            busy = now + service
+            self._start = now
+            self._durations.clear()
+        self._durations.append(duration)
+        self.busy_until = busy
         sums = self.sums
         sums.total += service
         if prefetch:
@@ -113,12 +117,15 @@ class Channel:
         """Queued work as seen at ``now`` — the :meth:`ServerUplink.backlog`
         fold: the in-flight transfer's completion plus the bare durations of
         the transfers queued behind it (the server adds its penalty at grant)."""
+        completion = self._start
         t = None
-        for completion, duration in self._stretch:
+        for duration in self._durations:
             if t is not None:
                 t = t + duration
-            elif completion > now:
-                t = completion
+            else:
+                completion += duration + self.penalty
+                if completion > now:
+                    t = completion
         return 0.0 if t is None else max(0.0, t - now)
 
 
