@@ -39,9 +39,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def run(self) -> int:
         """Drain every event, including ones scheduled while draining;
         returns how many ran."""
