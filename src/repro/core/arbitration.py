@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.ordering import RankedRow
 from repro.core.types import PrefetchPlan, PrefetchProblem
 
 __all__ = [
@@ -96,7 +97,7 @@ def select_victim(
 
 
 def arbitrate_prefetch(
-    problem: PrefetchProblem,
+    problem: PrefetchProblem | RankedRow,
     candidates: PrefetchPlan | Sequence[int],
     cache: Sequence[int],
     *,
@@ -106,58 +107,80 @@ def arbitrate_prefetch(
     """Figure 6's admission loop.
 
     ``candidates`` is the SKP solution ``F^`` over non-cached items;
-    ``cache`` the current content ``C``.  Candidates are taken in descending
-    ``P_f r_f`` (ties by id for determinism).  Free slots admit candidates
-    without a victim before any eviction happens.  The admitted subset is
-    re-ordered per rule (5) into a valid plan — a subset of a valid plan
-    remains valid, since dropping items only shrinks the total retrieval
-    time.
+    ``cache`` the current content ``C``.  ``problem`` may also be the ranked
+    view (:meth:`repro.core.ordering.RankedRow.view`) the candidates were
+    solved over.  Candidates are taken in descending ``P_f r_f`` (ties by
+    id for determinism).  Free slots admit candidates without a victim
+    before any eviction happens.  The admitted subset is re-ordered per
+    rule (5) into a valid plan — a subset of a valid plan remains valid,
+    since dropping items only shrinks the total retrieval time.
+
+    Victims are the cache sorted once by ``(P_d r_d, sub-key, id)`` and
+    taken from the front: the keys are unique and fixed for the call, so
+    this picks exactly what repeated :func:`select_victim` calls on the
+    shrinking cache would.
     """
     items = tuple(candidates.items if isinstance(candidates, PrefetchPlan) else candidates)
-    item_set = set(int(i) for i in items)
+    item_set = set(map(int, items))
     # The result plan is built without re-validation, so enforce the plan
     # invariants (unique, non-negative ids) on raw candidate sequences here.
     if len(item_set) != len(items):
         raise ValueError(f"prefetch candidates contain duplicate items: {items}")
-    if any(i < 0 for i in item_set):
+    if item_set and min(item_set) < 0:
         raise ValueError(f"prefetch candidates contain negative item ids: {items}")
-    cache_set = set(int(i) for i in cache)
-    if cache_set & item_set:
+    cache_set = set(map(int, cache))
+    if not cache_set.isdisjoint(item_set):
         raise ValueError("prefetch candidates must not already be cached")
     if free_slots < 0:
         raise ValueError("free_slots must be non-negative")
 
-    # Plain-list profits: the identical P_i r_i floats, indexed without a
-    # NumPy array-scalar box per comparison in the sort and victim loops.
-    profit = problem.profits().tolist()
-    ordered = sorted(items, key=lambda f: (-profit[f], f))
-    remaining = set(cache_set)
+    if isinstance(problem, RankedRow):
+        profit = problem.profit_lookup()
+        # A view lists its items in rule-(5) order already.
+        rule5_key = problem.items.index
+    else:
+        # Plain-list profits: the identical P_i r_i floats, indexed without
+        # a NumPy array-scalar box per lookup.
+        profit = problem.profits().tolist().__getitem__
+        p = problem.probabilities
+        r = problem.retrieval_times
+
+        def rule5_key(i: int) -> tuple:
+            return (-p[i], r[i], i)
+
+    ordered = sorted(zip([-profit(f) for f in items], items))
+    victims: list[tuple] | None = None
     admitted: list[int] = []
     eject: list[int] = []
     pairs: list[tuple[int, int | None]] = []
     slots = free_slots
 
-    for f in ordered:
+    for neg_profit, f in ordered:
         if slots > 0:
             slots -= 1
             admitted.append(f)
             pairs.append((f, None))
             continue
-        if not remaining:
+        if victims is None:
+            pool = list(cache_set)
+            if sub_key is None:
+                # (P_d r_d, id) orders exactly like (P_d r_d, 0.0, id).
+                victims = sorted(zip(map(profit, pool), pool), reverse=True)
+            else:
+                victims = sorted(zip(map(profit, pool), map(sub_key, pool), pool), reverse=True)
+        if not victims:
             break  # full cache with nothing evictable left
-        d = select_victim(remaining, profit.__getitem__, sub_key)
-        if profit[f] < profit[d]:
+        victim = victims[-1]  # the cheapest left; the keys are unique
+        if -neg_profit < victim[0]:
             break  # Figure 6: first losing candidate ends the loop
+        victims.pop()
+        d = victim[-1]
         admitted.append(f)
         eject.append(d)
         pairs.append((f, d))
-        remaining.discard(d)
 
-    # reorder_plan's rule-(5) arrangement, inlined over the known-unique
-    # admitted list so the plan skips re-validation.
-    p = problem.probabilities
-    r = problem.retrieval_times
-    admitted.sort(key=lambda i: (-p[i], r[i], i))
+    if len(admitted) > 1:
+        admitted.sort(key=rule5_key)
     return ArbitrationResult(
         prefetch=PrefetchPlan.from_trusted(tuple(admitted)),
         eject=tuple(eject),

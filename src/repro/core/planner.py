@@ -29,7 +29,8 @@ from repro.core.arbitration import (
 )
 from repro.core.improvement import access_improvement_with_cache
 from repro.core.kp import solve_kp
-from repro.core.skp import solve_skp
+from repro.core.ordering import RankedRow, rank_row
+from repro.core.skp import check_skp_options, solve_skp
 from repro.core.types import PrefetchPlan, PrefetchProblem
 
 __all__ = ["ONLINE_NODE_BUDGET", "PlanOutcome", "Prefetcher"]
@@ -133,8 +134,8 @@ class Prefetcher:
         nothing (demand fetch only; arbitration still applies to demand
         insertions).
     variant:
-        SKP solver variant, ``"corrected"`` or ``"faithful"`` (ignored for
-        other strategies).
+        SKP solver variant, ``"corrected"`` or ``"faithful"`` (checked at
+        construction, used only by ``"skp"``).
     sub_arbitration:
         ``None``, ``"lfu"`` or ``"ds"`` — the §5.2 secondary victim key.
         LFU and DS require access frequencies to be passed to :meth:`plan`.
@@ -143,7 +144,7 @@ class Prefetcher:
         :func:`repro.core.skp.solve_skp`).  ``None`` (default) keeps the
         solver exact; online-model planning paths set a budget because
         learned rows can carry exactly tied probabilities that defeat
-        bound pruning.  Ignored by the ``"kp"`` and ``"none"`` strategies.
+        bound pruning.  Checked at construction; used only by ``"skp"``.
     """
 
     strategy: str = "skp"
@@ -159,6 +160,9 @@ class Prefetcher:
                 f"sub_arbitration must be one of {_SUB_ARBITRATIONS}, "
                 f"got {self.sub_arbitration!r}"
             )
+        # Checked here, not at the first solve: a bad value must not wait
+        # for a request whose candidate set happens to be non-empty.
+        check_skp_options(self.variant, self.node_budget)
 
     # ------------------------------------------------------------------
     def _sub_key(self, problem: PrefetchProblem, frequencies: np.ndarray | None):
@@ -175,51 +179,58 @@ class Prefetcher:
             return lfu_sub_key(freq)
         return ds_sub_key(freq, problem.retrieval_times)
 
+    def _view(
+        self,
+        problem: PrefetchProblem,
+        cache: Sequence[int],
+        pinned: Sequence[int],
+        ranked: RankedRow | None,
+    ) -> RankedRow:
+        """The ranked row minus ``cache`` and ``pinned``: the candidate set."""
+        if ranked is None:
+            ranked = rank_row(problem)
+        # No int() round-trip: ranked items are Python ints, and
+        # integer-like cache entries hash equal to them.
+        blocked = set(cache)
+        blocked.update(pinned)
+        return ranked.view(problem, blocked)
+
+    def _solve(self, view: RankedRow) -> PrefetchPlan:
+        """Maximise g* over the view's items (step 1 of Figure 6)."""
+        if not view.items:
+            return PrefetchPlan(())
+        if self.strategy == "skp":
+            return solve_skp(view, variant=self.variant, node_budget=self.node_budget).plan
+        sub = PrefetchProblem.from_validated(
+            np.array(view.p), np.array(view.r), view.problem.viewing_time
+        )
+        items = view.items
+        return PrefetchPlan.from_trusted(tuple(items[k] for k in solve_kp(sub).plan.items))
+
     def candidate_plan(
         self,
         problem: PrefetchProblem,
         cache: Sequence[int],
         pinned: Sequence[int] = (),
         *,
-        support: Sequence[int] | None = None,
+        ranked: RankedRow | None = None,
     ) -> PrefetchPlan:
         """Maximise g* over non-blocked items (step 1 of Figure 6).
 
         ``cache`` and ``pinned`` are jointly excluded from the candidate
-        set; the plan comes back in the *original* problem's item ids.
-        Also the planning core of proxy-side speculation
+        set; the plan comes back in the problem's item ids.  Also the
+        planning core of proxy-side speculation
         (:meth:`repro.distsys.topology.ProxyNode._speculate`), which blocks
         cached, pending and zero-probability items.
 
-        ``support``, when given, must be exactly
-        ``np.flatnonzero(problem.probabilities).tolist()`` — callers with
-        static providers (:class:`repro.distsys.planning.ClientPlanState`)
-        precompute it once per item instead of rescanning the row here.
+        ``ranked``, when given, must be ``rank_row`` of a problem with the
+        same ``P`` and ``r`` — callers with static providers
+        (:class:`repro.distsys.planning.ClientPlanState`) rank each row once
+        instead of on every call.
         """
         if self.strategy == "none":
             return PrefetchPlan(())
-        # No int() round-trip: candidates below are Python ints from the
-        # support scan, and integer-like cache entries hash equal to them.
-        blocked = set(cache)
-        blocked.update(pinned)
-        # Zero-probability items never enter an optimal plan (both solvers
-        # drop them before searching), so restrict the subproblem to the
-        # provider row's support up front — planner rows are typically
-        # sparse (a Markov out-degree or a top-k Zipf view), which shrinks
-        # the canonical sort and the sliced arrays by 5x and more.
-        if support is None:
-            support = np.flatnonzero(problem.probabilities).tolist()
-        candidates = [i for i in support if i not in blocked]
-        if not candidates:
-            return PrefetchPlan(())
-        sub = problem.subproblem(candidates)
-        if self.strategy == "skp":
-            local = solve_skp(
-                sub, variant=self.variant, node_budget=self.node_budget
-            ).plan
-        else:
-            local = solve_kp(sub).plan
-        return PrefetchPlan.from_trusted(tuple(candidates[k] for k in local.items))
+        return self._solve(self._view(problem, cache, pinned, ranked))
 
     # ------------------------------------------------------------------
     def plan(
@@ -230,7 +241,7 @@ class Prefetcher:
         cache_capacity: int | None = None,
         frequencies: np.ndarray | None = None,
         pinned: Sequence[int] = (),
-        support: Sequence[int] | None = None,
+        ranked: RankedRow | None = None,
     ) -> PlanOutcome:
         """Decide what to prefetch (and evict) for one viewing period.
 
@@ -239,6 +250,7 @@ class Prefetcher:
         prefetches without eviction.  ``pinned`` items are excluded from both
         the candidate set and the victim pool — the continuous simulator
         uses it for transfers still in flight from the previous period.
+        ``ranked`` is as for :meth:`candidate_plan`.
         """
         cache = tuple(cache)
         capacity = len(cache) if cache_capacity is None else int(cache_capacity)
@@ -248,7 +260,11 @@ class Prefetcher:
         # sub_arbitration/frequencies pair raises on every call, not only
         # on the data-dependent calls whose candidate plan is non-empty.
         sub_key = self._sub_key(problem, frequencies)
-        candidate = self.candidate_plan(problem, cache, pinned, support=support)
+        if self.strategy == "none":
+            candidate = PrefetchPlan(())
+        else:
+            view = self._view(problem, cache, pinned, ranked)
+            candidate = self._solve(view)
         if not candidate.items:
             # Nothing to arbitrate: the admitted plan is empty, no victim is
             # ejected, and equation (9) evaluates to exactly 0.0 (zero
@@ -260,7 +276,7 @@ class Prefetcher:
                 candidate_plan=candidate,
             )
         result = arbitrate_prefetch(
-            problem,
+            view,
             candidate,
             cache,
             free_slots=capacity - len(cache),

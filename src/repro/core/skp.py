@@ -35,13 +35,15 @@ Regardless of variant, the returned :class:`SKPResult.gain` is the *true*
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
+from sys import maxsize
 
 from repro.core.improvement import access_improvement
-from repro.core.ordering import canonical_order
-from repro.core.relaxation import SuffixBounder
+from repro.core.ordering import RankedRow, rank_row
 from repro.core.types import PrefetchPlan, PrefetchProblem
 
-__all__ = ["SKPResult", "solve_skp"]
+__all__ = ["SKPResult", "check_skp_options", "solve_skp"]
 
 _VARIANTS = ("corrected", "faithful")
 
@@ -116,7 +118,7 @@ class SKPResult:
 
 
 def solve_skp(
-    problem: PrefetchProblem,
+    problem: PrefetchProblem | RankedRow,
     *,
     variant: str = "corrected",
     use_bound: bool = True,
@@ -130,7 +132,11 @@ def solve_skp(
     problem:
         The prefetch instance.  Zero-probability items are dropped before
         the search: they add zero profit and can only increase the stretch,
-        so no optimal plan contains them.
+        so no optimal plan contains them.  A ranked view
+        (:meth:`repro.core.ordering.RankedRow.view`) is accepted in its
+        place: the planner ranks a row once and solves over its unblocked
+        items, which is the same search as over
+        ``problem.subproblem(unblocked)``, with the plan in item ids.
     variant:
         ``"corrected"`` (exact) or ``"faithful"`` (Figure 3 literal); see
         the module docstring.
@@ -158,62 +164,52 @@ def solve_skp(
         The budget is a hard, input-independent node count, so results stay
         deterministic and worker-count invariant.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if stretch_penalty_bonus < 0.0:
+    check_skp_options(variant, node_budget)
+    if not stretch_penalty_bonus >= 0.0:  # NaN fails this test too
         raise ValueError("stretch_penalty_bonus must be non-negative")
-    if node_budget is not None and node_budget < 1:
-        raise ValueError("node_budget must be positive or None")
-
-    order_full = canonical_order(problem)
-    p_full = problem.probabilities[order_full]
-    keep = p_full > 0.0
-    order_arr = order_full[keep]
-    v = float(problem.viewing_time)
-    n = int(order_arr.shape[0])
-
+    view = problem if isinstance(problem, RankedRow) else rank_row(problem)
+    n = len(view.items)
     if n == 0:
         return SKPResult(PrefetchPlan(()), 0.0, 0.0, 0, 0, variant)
 
-    # The branch-and-bound touches scalars, not vectors: plain Python lists
-    # avoid a NumPy array-scalar box per access.  All folds below (the
-    # bounder's running cumsums, the inlined Dantzig query) perform the
-    # identical IEEE operations in the identical order as the previous
-    # NumPy version, so solver output is bit-exact — the golden-trace tests
-    # depend on it.  The prefix sums come from SuffixBounder (one shared
-    # construction); only the per-node *query* is inlined below.
-    order = order_arr.tolist()
-    bounder = SuffixBounder(p_full[keep], problem.retrieval_times[order_arr])
-    p = bounder.p_list
-    r = bounder.r_list
-    cum_r = bounder.cum_r
-    cum_profit = bounder.cum_profit
-
-    # Suffix probability mass, suffix_mass[j] = sum(p[j:]); sentinel 0 at n.
-    suffix_mass = [0.0] * (n + 1)
-    acc_m = 0.0
-    for i in range(n - 1, -1, -1):
-        acc_m += p[i]
-        suffix_mass[i] = acc_m
+    # The branch-and-bound touches scalars, not vectors, so it walks the
+    # view's plain lists.  The prefix sums are SuffixBounder's: the same
+    # left-to-right fold from 0.0 (np.cumsum's, before it).  The Dantzig
+    # query below is SuffixBounder.bound inlined.  Solver output is
+    # therefore bit-exact with every earlier release; the golden-trace
+    # tests depend on it.
+    p = view.p
+    r = view.r
+    pr = view.pr
+    if pr is None:
+        pr = list(map(mul, p, r))
+    cum_r = list(accumulate(r, initial=0.0))
+    cum_profit = list(accumulate(pr, initial=0.0))
     faithful = variant == "faithful"
+    if faithful:
+        # suffix_mass[j] = sum(p[j:]), folded from the right; 0.0 at n.
+        suffix_mass = list(accumulate(reversed(p), initial=0.0))[::-1]
+    bonus = stretch_penalty_bonus
+    limit = maxsize if node_budget is None else node_budget
 
     # --- state, mirroring Figure 3 -------------------------------------
-    x_best = [False] * n  # paper's x
+    # The paper's 0/1 vectors x^ and x are kept as the increasing lists of
+    # selected indices: ``chosen`` doubles as the backtrack stack.
+    best: list[int] = []  # paper's x
     g_best = 0.0  # paper's g
-    x_hat = [False] * n  # paper's x^
+    chosen: list[int] = []  # paper's x^
     g_hat = 0.0  # paper's g^
-    v_hat = v  # paper's v^ (residual capacity; < 0 once stretched)
+    v_hat = view.problem.viewing_time  # paper's v^ (< 0 once stretched)
     sel_mass = 0.0  # sum of P over selected items (corrected penalty)
-    selected_stack: list[int] = []  # selected indices, increasing
     j = 0
     nodes = 0
     cutoffs = 0
     exhausted = False
 
-    # Figure 3's steps 2-5 as direct control flow (the former explicit
-    # state machine, minus the per-transition dispatch): the inner loop
-    # alternates bound and forward moves, falling through to the incumbent
-    # update; the outer loop backtracks.  Transition order is unchanged.
+    # Figure 3's steps 2-5 as direct control flow: the inner loop alternates
+    # bound and forward moves, falling through to the incumbent update; the
+    # outer loop backtracks.  Theorem 3's delta is P_j r_j when item j fits;
+    # only an overrun pays the penalty.
     while True:
         while True:
             # -- step 2: bound (inlined SuffixBounder.bound(j, max(v^,0)))
@@ -237,14 +233,16 @@ def solve_skp(
             rebound = False
             while j < n and v_hat > 0.0:
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
+                if nodes > limit:
                     exhausted = True
                     break
-                penalty = (suffix_mass[j] if faithful else 1.0 - sel_mass) + stretch_penalty_bonus
                 overrun = r[j] - v_hat
-                delta = p[j] * r[j] - (penalty * overrun if overrun > 0.0 else 0.0)
+                if overrun > 0.0:
+                    penalty = (suffix_mass[j] if faithful else 1.0 - sel_mass) + bonus
+                    delta = pr[j] - penalty * overrun
+                else:
+                    delta = pr[j]
                 if delta <= 0.0:
-                    x_hat[j] = False
                     j += 1
                     if j < n - 1:  # paper: "if j < n then goto 2" (1-based)
                         rebound = True
@@ -253,8 +251,7 @@ def solve_skp(
                     v_hat -= r[j]
                     g_hat += delta
                     sel_mass += p[j]
-                    x_hat[j] = True
-                    selected_stack.append(j)
+                    chosen.append(j)
                     j += 1
             if exhausted:
                 # Budget exhausted mid-path: the current partial selection
@@ -262,36 +259,45 @@ def solve_skp(
                 # incumbent, then stop deterministically.
                 if g_hat > g_best:
                     g_best = g_hat
-                    x_best = x_hat.copy()
+                    best = chosen.copy()
                 break
             if rebound:
                 continue  # back to step 2
             # -- step 4: update the incumbent
             if g_hat > g_best:
                 g_best = g_hat
-                x_best = x_hat.copy()
+                best = chosen.copy()
             break  # to step 5
 
         # -- step 5: backtrack
-        if exhausted or not selected_stack:
+        if exhausted or not chosen:
             break  # step 6
-        k = selected_stack.pop()
-        x_hat[k] = False
+        k = chosen.pop()
         v_hat += r[k]
         sel_mass -= p[k]
-        penalty = (suffix_mass[k] if faithful else 1.0 - sel_mass) + stretch_penalty_bonus
         overrun = r[k] - v_hat  # v_hat restored == residual at insertion
-        delta = p[k] * r[k] - (penalty * overrun if overrun > 0.0 else 0.0)
-        g_hat -= delta
+        if overrun > 0.0:
+            penalty = (suffix_mass[k] if faithful else 1.0 - sel_mass) + bonus
+            g_hat -= pr[k] - penalty * overrun
+        else:
+            g_hat -= pr[k]
         j = k + 1
 
-    items = tuple(order[k] for k in range(n) if x_best[k])
-    plan = PrefetchPlan.from_trusted(items)
+    order = view.items
+    plan = PrefetchPlan.from_trusted(tuple([order[k] for k in best]))
     return SKPResult(
         plan=plan,
-        gain=_LazyGain(problem, plan),
+        gain=_LazyGain(view.problem, plan),
         algorithm_gain=float(g_best),
         nodes=nodes,
         bound_cutoffs=cutoffs,
         variant=variant,
     )
+
+
+def check_skp_options(variant: str, node_budget: int | None) -> None:
+    """Reject an unknown ``variant`` or a non-positive ``node_budget``."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be positive or None")

@@ -62,7 +62,7 @@ from repro.analysis.cacheperf import (
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.distsys.fleet import FleetConfig, FleetResult, build_client_model
 from repro.distsys.network import Channel, Link, ServiceSums
-from repro.distsys.planning import ClientPlanState, step, warm_start
+from repro.distsys.planning import ClientPlanState, RankedRows, step, warm_start
 from repro.simulation.metrics import (
     AccessStats,
     FleetAggregate,
@@ -106,16 +106,17 @@ class _CohortMemos:
 
     Clients whose planner sees the same probability row face identical
     planning problems whenever their (cache, pending, window) fingerprints
-    coincide — the solves are pure functions of the key, so both the
-    zero-window demand-victim memo and the full viewing-period plan memo can
-    be shared across every client of the cohort.
+    coincide — the solves are pure functions of the key, so the
+    zero-window demand-victim memo, the full viewing-period plan memo and
+    the row rankings can be shared across every client of the cohort.
     """
 
-    __slots__ = ("victim_memo", "plan_memo", "static_row", "solves", "hits")
+    __slots__ = ("victim_memo", "plan_memo", "ranked", "static_row", "solves", "hits")
 
     def __init__(self, static_row: bool) -> None:
         self.victim_memo: dict = {}
         self.plan_memo: dict = {}
+        self.ranked = RankedRows()
         #: Static rows (Zipf planner views) are item-independent, so the
         #: plan key drops the item; Markov/trace rows condition on it.
         self.static_row = static_row
@@ -291,10 +292,12 @@ class CohortFleet:
                     model=model,
                 )
                 memo = self._memos_for(w)
-                if memo is not None and state._victim_memo is not None:
-                    # Share the zero-window victim memo across the cohort —
-                    # same key space, same soundness condition.
+                if memo is not None:
+                    # Share the zero-window victim memo and the rankings
+                    # across the cohort — same key space, same soundness
+                    # condition (static rows, equal item by item).
                     state._victim_memo = memo.victim_memo
+                    state._ranked = memo.ranked
                 channel = Channel(penalty, sums)
                 stats = AccessStats()
                 now = float(w.start_time)

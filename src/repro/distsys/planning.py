@@ -34,8 +34,8 @@ its uplink's callbacks, so it calls the pieces from those callbacks.
   :meth:`~repro.core.types.PrefetchProblem.from_validated`;
 * without an online model the rows never change, so demand-victim solves
   are **memoized** on ``(item, cache fingerprint)`` (unless a
-  frequency-dependent sub-arbitration is configured) and per-item row
-  supports are cached.
+  frequency-dependent sub-arbitration is configured) and each distinct row
+  is ranked once (:class:`RankedRows`).
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.core.ordering import RankedRow, rank_row
 from repro.core.planner import PlanOutcome, Prefetcher
 from repro.core.types import PrefetchProblem
 from repro.simulation.metrics import AccessStats
 
 __all__ = [
     "ClientPlanState",
+    "RankedRows",
     "warm_start",
     "arrive",
     "serve",
@@ -63,6 +65,38 @@ _MISS = object()  # memo sentinel (victims may legitimately be None)
 KIND_HIT = AccessStats.KIND_HIT
 KIND_WAIT = AccessStats.KIND_WAIT
 KIND_MISS = AccessStats.KIND_MISS
+
+
+class RankedRows:
+    """Ranked rows of a provider whose rows never change, looked up by item.
+
+    A row is ranked once per distinct array, not once per item: a Zipf
+    client's provider returns the same array for every item, so an item
+    seen for the first time reuses the last ranking when its row is that
+    same array.  Clients whose rows are equal item by item may share one
+    instance (the cohort engine does).
+    """
+
+    __slots__ = ("by_item", "_row", "_ranked")
+
+    def __init__(self) -> None:
+        self.by_item: dict[int, RankedRow] = {}
+        self._row: np.ndarray | None = None
+        self._ranked: RankedRow | None = None
+
+    def get(self, item: int, problem: PrefetchProblem) -> RankedRow:
+        """The ranking of ``problem``, the planning instance for ``item``."""
+        ranked = self.by_item.get(item)
+        if ranked is None:
+            row = problem.probabilities
+            if row is self._row:
+                ranked = self._ranked
+            else:
+                ranked = rank_row(problem, profits=True)
+                self._row = row
+                self._ranked = ranked
+            self.by_item[item] = ranked
+        return ranked
 
 
 class ClientPlanState:
@@ -89,7 +123,7 @@ class ClientPlanState:
         "_cache_tuple",
         "_pending_tuple",
         "_victim_memo",
-        "_support_cache",
+        "_ranked",
     )
 
     def __init__(
@@ -126,9 +160,9 @@ class ClientPlanState:
         self._victim_memo: dict | None = (
             {} if static and prefetcher.sub_arbitration is None else None
         )
-        # Per-item row support (flatnonzero), reusable only when rows never
-        # change; the planner rescans the row itself otherwise.
-        self._support_cache: dict[int, list[int]] | None = {} if static else None
+        # Rankings are reusable only when rows never change; the planner
+        # ranks an online row on every call.
+        self._ranked: RankedRows | None = RankedRows() if static else None
 
     # -- fingerprints ---------------------------------------------------
     def cache_key(self) -> tuple[int, ...]:
@@ -191,17 +225,9 @@ class ClientPlanState:
             self.model.update(item)
 
     # -- planner dispatch -----------------------------------------------
-    def problem(
-        self, item: int, window: float, row: np.ndarray | None = None
-    ) -> PrefetchProblem:
-        """The planning instance for ``item``'s viewing period.
-
-        ``row`` lets a caller that already fetched the provider row (e.g. to
-        compute its support) reuse it.
-        """
-        if row is None:
-            row = self.provider(item)
-        return PrefetchProblem.from_validated(row, self.retrievals, window)
+    def problem(self, item: int, window: float) -> PrefetchProblem:
+        """The planning instance for ``item``'s viewing period."""
+        return PrefetchProblem.from_validated(self.provider(item), self.retrievals, window)
 
     #: Victim-memo size bound: past this many distinct (item, cache-state)
     #: pairs the memo is cleared and refills with the currently-hot states,
@@ -249,20 +275,15 @@ class ClientPlanState:
 
         Returns the outcome; :func:`plan` registers its prefetches.
         """
-        row = self.provider(item)
-        problem = self.problem(item, window, row)
-        support = None
-        if self._support_cache is not None:
-            support = self._support_cache.get(item)
-            if support is None:
-                support = self._support_cache[item] = np.flatnonzero(row).tolist()
+        problem = self.problem(item, window)
+        ranked = self._ranked
         outcome = self.prefetcher.plan(
             problem,
             cache=self.cache_key(),
             cache_capacity=self.capacity - len(self.pending),
             frequencies=self.frequencies,
             pinned=self.pending_key(),
-            support=support,
+            ranked=None if ranked is None else ranked.get(item, problem),
         )
         for victim in outcome.eject:
             self.cache_discard(victim)

@@ -20,6 +20,15 @@ class TestPrefetcher:
         with pytest.raises(ValueError, match="sub_arbitration"):
             Prefetcher(sub_arbitration="mru")
 
+    @pytest.mark.parametrize("strategy", ["skp", "kp", "none"])
+    def test_invalid_variant_and_node_budget_rejected_at_construction(self, strategy):
+        # Not deferred to the first SKP solve with candidates, which a
+        # "kp" or "none" planner never reaches.
+        with pytest.raises(ValueError, match="variant"):
+            Prefetcher(strategy=strategy, variant="bogus")
+        with pytest.raises(ValueError, match="node_budget"):
+            Prefetcher(strategy=strategy, node_budget=0)
+
     def test_none_strategy_plans_nothing(self):
         prob = problem([0.5, 0.5], [5.0, 5.0], 20.0)
         outcome = Prefetcher(strategy="none").plan(prob)

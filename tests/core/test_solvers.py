@@ -102,6 +102,17 @@ class TestSKPCorrected:
         with pytest.raises(ValueError, match="variant"):
             solve_skp(prob, variant="bogus")
 
+    def test_stretch_penalty_bonus_must_be_a_non_negative_number(self):
+        prob = PrefetchProblem(np.array([0.5, 0.3, 0.1]), np.array([4.0, 5.0, 6.0]), 6.0)
+        for bonus in (0.0, 1.0, float("inf")):
+            res = solve_skp(prob, stretch_penalty_bonus=bonus)
+            assert res.plan.items == (0,) and res.gain == 2.0
+        # NaN fails every comparison, so a "< 0" test let it through and
+        # the solve silently returned the empty plan.
+        for bonus in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="stretch_penalty_bonus"):
+                solve_skp(prob, stretch_penalty_bonus=bonus)
+
 
 class TestSKPFaithful:
     def test_matches_corrected_when_no_exclusions_possible(self, rng):

@@ -151,6 +151,12 @@ class TestFleet:
         assert res.aggregate.requests == pop.total_requests
         assert res.events > 0 and res.makespan > 0
 
+    @pytest.mark.parametrize("strategy", ["skp", "kp"])
+    def test_bad_skp_variant_rejected_before_running(self, strategy):
+        pop = self.make_population()
+        with pytest.raises(ValueError, match="variant"):
+            run_fleet(pop, FleetConfig(strategy=strategy, skp_variant="bogus"))
+
     def test_prefetching_beats_no_prefetch(self):
         pop = self.make_population()
         skp = run_fleet(pop, FleetConfig(cache_capacity=6, strategy="skp", concurrency=4))

@@ -2,7 +2,7 @@
 
 :class:`repro.distsys.planning.ClientPlanState` maintains sorted
 cache/pending fingerprints *incrementally* (invalidate on membership
-change, rebuild lazily), caches per-item row supports, and memoizes
+change, rebuild lazily), ranks each static row once, and memoizes
 zero-window demand-victim solves.  All three are pure derivatives of the
 plain ``cache`` / ``pending`` sets and the provider rows — so after *any*
 sequence of engine-shaped operations they must equal a brute-force
@@ -19,13 +19,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ordering import canonical_order
 from repro.core.planner import Prefetcher
-from repro.distsys.planning import ClientPlanState
+from repro.core.types import PrefetchProblem
+from repro.distsys.planning import ClientPlanState, RankedRows
 
 N_ITEMS = 6
 
 # A fixed, library-normalised probability matrix: rows sum to <= 1 with a
-# couple of structural zeros so support caching has something to cache.
+# couple of structural zeros, which a ranked row leaves out.
 _rng = np.random.default_rng(1234)
 _P = _rng.random((N_ITEMS, N_ITEMS))
 _P[0, 3] = 0.0
@@ -36,8 +38,16 @@ _RETRIEVALS = _rng.uniform(1.0, 30.0, N_ITEMS)
 _RETRIEVALS.setflags(write=False)
 
 
+#: The same rows as separate arrays: a second client of the same cohort.
+_P_COPY = _P.copy()
+
+
 def _provider(item: int) -> np.ndarray:
     return _P[int(item)]
+
+
+def _copy_provider(item: int) -> np.ndarray:
+    return _P_COPY[int(item)]
 
 
 class _SilentModel:
@@ -48,10 +58,10 @@ class _SilentModel:
         pass
 
 
-def _fresh_state(capacity: int, *, static: bool) -> ClientPlanState:
+def _fresh_state(capacity: int, *, static: bool, provider=_provider) -> ClientPlanState:
     return ClientPlanState(
         Prefetcher(strategy="skp"),
-        _provider,
+        provider,
         _RETRIEVALS,
         capacity,
         N_ITEMS,
@@ -128,14 +138,40 @@ def test_fingerprints_match_brute_force_after_any_op_sequence(capacity, ops):
 
 @given(capacity=st.integers(0, 4), ops=operations)
 @settings(max_examples=60)
-def test_support_cache_matches_brute_force(capacity, ops):
-    state = _fresh_state(capacity, static=True)
-    for op, item, window in ops:
-        _apply(state, op, item, window)
-    support = state._support_cache
-    assert support is not None  # static provider => support caching on
-    for item, cached in support.items():
-        assert cached == np.flatnonzero(_P[item]).tolist()
+def test_ranked_rows_match_brute_force(capacity, ops):
+    # Two clients of one cohort share the rankings, the way the cohort
+    # engine shares them: equal rows, held in separate arrays.
+    first = _fresh_state(capacity, static=True)
+    second = _fresh_state(capacity, static=True, provider=_copy_provider)
+    assert first._ranked is not None  # static provider => rankings cached
+    second._ranked = first._ranked
+    for k, (op, item, window) in enumerate(ops):
+        _apply(second if k % 2 else first, op, item, window)
+    for item, ranked in first._ranked.by_item.items():
+        row = _P[item]
+        order = [
+            i
+            for i in canonical_order(PrefetchProblem(row, _RETRIEVALS, 0.0)).tolist()
+            if row[i] > 0.0
+        ]
+        assert ranked.items == order
+        assert ranked.p == row[order].tolist()
+        assert ranked.r == _RETRIEVALS[order].tolist()
+        assert ranked.pr == (row[order] * _RETRIEVALS[order]).tolist()
+
+
+def test_one_ranking_per_distinct_row():
+    # A Zipf client's provider hands back one array for every item, so one
+    # ranking serves them all; a Markov client's rows each get their own.
+    def rankings(provider) -> int:
+        ranked = RankedRows()
+        for item in range(N_ITEMS):
+            ranked.get(item, PrefetchProblem.from_validated(provider(item), _RETRIEVALS, 5.0))
+        return len({id(r) for r in ranked.by_item.values()})
+
+    row = _P[1]
+    assert rankings(lambda item: row) == 1
+    assert rankings(_provider) == N_ITEMS
 
 
 @given(capacity=st.integers(1, 4), ops=operations)

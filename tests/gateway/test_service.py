@@ -97,6 +97,13 @@ class TestAccessValidation:
         assert status == 400
         assert "error" in json.loads(body)
 
+    def test_bad_skp_variant_fails_at_construction(self):
+        # A server misconfiguration must stop the service from starting,
+        # not surface later as a 400 blamed on some client's report.
+        config = GatewayConfig.uniform(20, session=SessionConfig(skp_variant="bogus"))
+        with pytest.raises(ValueError, match="variant"):
+            GatewayService(config, clock=lambda: 0.0)
+
     def test_bad_request_does_not_create_session(self, service):
         _post_access(service, {"session": "a", "item": 99})
         # item validation happens inside the session; the store keeps the
