@@ -148,33 +148,30 @@ def arbitrate_prefetch(
         def rule5_key(i: int) -> tuple:
             return (-p[i], r[i], i)
 
-    ordered = sorted(zip([-profit(f) for f in items], items))
-    victims: list[tuple] | None = None
+    # Stable sorts over id-sorted input: descending P_f r_f with ties by id
+    # for the candidates, ascending (P_d r_d, sub-key) with ties by id for
+    # the victims.
+    ordered = sorted(sorted(item_set), key=profit, reverse=True)
+    victims = None
     admitted: list[int] = []
     eject: list[int] = []
     pairs: list[tuple[int, int | None]] = []
     slots = free_slots
 
-    for neg_profit, f in ordered:
+    for f in ordered:
         if slots > 0:
             slots -= 1
             admitted.append(f)
             pairs.append((f, None))
             continue
         if victims is None:
-            pool = list(cache_set)
-            if sub_key is None:
-                # (P_d r_d, id) orders exactly like (P_d r_d, 0.0, id).
-                victims = sorted(zip(map(profit, pool), pool), reverse=True)
-            else:
-                victims = sorted(zip(map(profit, pool), map(sub_key, pool), pool), reverse=True)
-        if not victims:
+            victim_key = profit if sub_key is None else lambda d: (profit(d), sub_key(d))
+            victims = iter(sorted(sorted(cache_set), key=victim_key))
+        d = next(victims, None)
+        if d is None:
             break  # full cache with nothing evictable left
-        victim = victims[-1]  # the cheapest left; the keys are unique
-        if -neg_profit < victim[0]:
+        if profit(f) < profit(d):
             break  # Figure 6: first losing candidate ends the loop
-        victims.pop()
-        d = victim[-1]
         admitted.append(f)
         eject.append(d)
         pairs.append((f, d))

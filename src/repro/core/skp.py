@@ -191,6 +191,7 @@ def solve_skp(
         suffix_mass = list(accumulate(reversed(p), initial=0.0))[::-1]
     bonus = stretch_penalty_bonus
     limit = maxsize if node_budget is None else node_budget
+    last = n - 1
 
     # --- state, mirroring Figure 3 -------------------------------------
     # The paper's 0/1 vectors x^ and x are kept as the increasing lists of
@@ -236,19 +237,19 @@ def solve_skp(
                 if nodes > limit:
                     exhausted = True
                     break
-                overrun = r[j] - v_hat
-                if overrun > 0.0:
+                rj = r[j]
+                if rj > v_hat:  # overrun r_j - v^ > 0
                     penalty = (suffix_mass[j] if faithful else 1.0 - sel_mass) + bonus
-                    delta = pr[j] - penalty * overrun
+                    delta = pr[j] - penalty * (rj - v_hat)
                 else:
                     delta = pr[j]
                 if delta <= 0.0:
                     j += 1
-                    if j < n - 1:  # paper: "if j < n then goto 2" (1-based)
+                    if j < last:  # paper: "if j < n then goto 2" (1-based)
                         rebound = True
                         break
                 else:
-                    v_hat -= r[j]
+                    v_hat -= rj
                     g_hat += delta
                     sel_mass += p[j]
                     chosen.append(j)
@@ -273,26 +274,19 @@ def solve_skp(
         if exhausted or not chosen:
             break  # step 6
         k = chosen.pop()
-        v_hat += r[k]
+        rk = r[k]
+        v_hat += rk  # restored: the residual when item k was selected
         sel_mass -= p[k]
-        overrun = r[k] - v_hat  # v_hat restored == residual at insertion
-        if overrun > 0.0:
+        if rk > v_hat:
             penalty = (suffix_mass[k] if faithful else 1.0 - sel_mass) + bonus
-            g_hat -= pr[k] - penalty * overrun
+            g_hat -= pr[k] - penalty * (rk - v_hat)
         else:
             g_hat -= pr[k]
         j = k + 1
 
     order = view.items
     plan = PrefetchPlan.from_trusted(tuple([order[k] for k in best]))
-    return SKPResult(
-        plan=plan,
-        gain=_LazyGain(view.problem, plan),
-        algorithm_gain=float(g_best),
-        nodes=nodes,
-        bound_cutoffs=cutoffs,
-        variant=variant,
-    )
+    return SKPResult(plan, _LazyGain(view.problem, plan), g_best, nodes, cutoffs, variant)
 
 
 def check_skp_options(variant: str, node_budget: int | None) -> None:
