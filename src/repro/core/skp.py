@@ -284,8 +284,7 @@ def solve_skp(
             g_hat -= pr[k]
         j = k + 1
 
-    order = view.items
-    plan = PrefetchPlan.from_trusted(tuple([order[k] for k in best]))
+    plan = PrefetchPlan.from_trusted(tuple(map(view.items.__getitem__, best)))
     return SKPResult(plan, _LazyGain(view.problem, plan), g_best, nodes, cutoffs, variant)
 
 
