@@ -427,17 +427,12 @@ class ProxyNode:
             return
         if total > 1.0:  # guard against float drift in normalised rows
             p = p / total
-        # Blocking zero-probability items keeps the solver instance at the
-        # predictor's support size (a Markov row, not the whole catalog).
-        blocked = set(np.flatnonzero(p <= 0.0).tolist()) | set(self._pending)
-        blocked.update(self.cache.items)
-        if len(blocked) >= p.shape[0]:
-            return
         # Predictor rows are library-normalised (and clamped above), so the
-        # per-call re-validation is skipped; candidate_plan re-sets its
-        # blocked argument, making the former sorted() call pure overhead.
+        # per-call re-validation is skipped.  The planner ranks only the
+        # positive-probability items, so the solve stays at the predictor's
+        # support size (a Markov row, not the whole catalog).
         problem = PrefetchProblem.from_validated(p, self.retrievals_up, self.prefetch_window)
-        plan = self.planner.candidate_plan(problem, cache=blocked)
+        plan = self.planner.candidate_plan(problem, self.cache.items, self._pending)
         for target in plan.items[:budget]:
             self.stats.prefetches_issued += 1
             self._in_flight_prefetches += 1
