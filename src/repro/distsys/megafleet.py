@@ -62,7 +62,7 @@ from repro.analysis.cacheperf import (
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.distsys.fleet import FleetConfig, FleetResult, build_client_model
 from repro.distsys.network import Channel, Link, ServiceSums
-from repro.distsys.planning import ClientPlanState, RankedRows, step, warm_start
+from repro.distsys.planning import ClientPlanState, RankedRowCache, step, warm_start
 from repro.simulation.metrics import (
     AccessStats,
     FleetAggregate,
@@ -116,7 +116,7 @@ class _CohortMemos:
     def __init__(self, static_row: bool) -> None:
         self.victim_memo: dict = {}
         self.plan_memo: dict = {}
-        self.ranked = RankedRows()
+        self.ranked = RankedRowCache()
         #: Static rows (Zipf planner views) are item-independent, so the
         #: plan key drops the item; Markov/trace rows condition on it.
         self.static_row = static_row

@@ -35,7 +35,7 @@ its uplink's callbacks, so it calls the pieces from those callbacks.
 * without an online model the rows never change, so demand-victim solves
   are **memoized** on ``(item, cache fingerprint)`` (unless a
   frequency-dependent sub-arbitration is configured) and each distinct row
-  is ranked once (:class:`RankedRows`).
+  is ranked once (:class:`RankedRowCache`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.simulation.metrics import AccessStats
 
 __all__ = [
     "ClientPlanState",
-    "RankedRows",
+    "RankedRowCache",
     "warm_start",
     "arrive",
     "serve",
@@ -67,7 +67,7 @@ KIND_WAIT = AccessStats.KIND_WAIT
 KIND_MISS = AccessStats.KIND_MISS
 
 
-class RankedRows:
+class RankedRowCache:
     """Ranked rows of a provider whose rows never change, looked up by item.
 
     A row is ranked once per distinct array, not once per item: a Zipf
@@ -162,7 +162,7 @@ class ClientPlanState:
         )
         # Rankings are reusable only when rows never change; the planner
         # ranks an online row on every call.
-        self._ranked: RankedRows | None = RankedRows() if static else None
+        self._ranked: RankedRowCache | None = RankedRowCache() if static else None
 
     # -- fingerprints ---------------------------------------------------
     def cache_key(self) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.ordering import canonical_order
 from repro.core.planner import Prefetcher
 from repro.core.types import PrefetchProblem
-from repro.distsys.planning import ClientPlanState, RankedRows
+from repro.distsys.planning import ClientPlanState, RankedRowCache
 
 N_ITEMS = 6
 
@@ -164,7 +164,7 @@ def test_one_ranking_per_distinct_row():
     # A Zipf client's provider hands back one array for every item, so one
     # ranking serves them all; a Markov client's rows each get their own.
     def rankings(provider) -> int:
-        ranked = RankedRows()
+        ranked = RankedRowCache()
         for item in range(N_ITEMS):
             ranked.get(item, PrefetchProblem.from_validated(provider(item), _RETRIEVALS, 5.0))
         return len({id(r) for r in ranked.by_item.values()})
