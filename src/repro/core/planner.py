@@ -221,7 +221,7 @@ class Prefetcher:
         set; the plan comes back in the problem's item ids.  Also the
         planning core of proxy-side speculation
         (:meth:`repro.distsys.topology.ProxyNode._speculate`), which blocks
-        cached, pending and zero-probability items.
+        its cached and pending items.
 
         ``ranked``, when given, must be ``rank_row`` of a problem with the
         same ``P`` and ``r`` — callers with static providers
