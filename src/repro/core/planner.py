@@ -17,7 +17,6 @@ The planner implements the paper's full pipeline (Figure 6):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -49,6 +48,33 @@ ONLINE_NODE_BUDGET = 20_000
 
 _STRATEGIES = ("skp", "kp", "none")
 _SUB_ARBITRATIONS = (None, "lfu", "ds")
+
+
+class _LazyImprovement:
+    """Deferred equation-(9) gain for a plan outcome.
+
+    Module-level (picklable) and holding only the four inputs the
+    recomputation needs — not the whole arbitration result.
+    """
+
+    __slots__ = ("problem", "prefetch", "cache", "eject")
+
+    def __init__(
+        self,
+        problem: PrefetchProblem,
+        prefetch: PrefetchPlan,
+        cache: tuple[int, ...],
+        eject: tuple[int, ...],
+    ) -> None:
+        self.problem = problem
+        self.prefetch = prefetch
+        self.cache = cache
+        self.eject = eject
+
+    def __call__(self) -> float:
+        return access_improvement_with_cache(
+            self.problem, self.prefetch, self.cache, self.eject
+        )
 
 
 class PlanOutcome:
@@ -259,9 +285,8 @@ class Prefetcher:
         return PlanOutcome(
             prefetch=result.prefetch,
             eject=result.eject,
-            # A partial, not a closure, so outcomes stay picklable.
-            expected_improvement=partial(
-                access_improvement_with_cache, problem, result.prefetch, cache, result.eject
+            expected_improvement=_LazyImprovement(
+                problem, result.prefetch, cache, result.eject
             ),
             candidate_plan=candidate,
         )

@@ -35,7 +35,6 @@ Regardless of variant, the returned :class:`SKPResult.gain` is the *true*
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate
 from operator import mul
 from sys import maxsize
@@ -47,6 +46,23 @@ from repro.core.types import PrefetchPlan, PrefetchProblem
 __all__ = ["SKPResult", "check_skp_options", "solve_skp"]
 
 _VARIANTS = ("corrected", "faithful")
+
+
+class _LazyGain:
+    """Deferred equation-(3) recomputation for a solved plan.
+
+    A module-level class (not a closure) so results stay picklable, holding
+    only the two fields the recomputation needs.
+    """
+
+    __slots__ = ("problem", "plan")
+
+    def __init__(self, problem: PrefetchProblem, plan: PrefetchPlan) -> None:
+        self.problem = problem
+        self.plan = plan
+
+    def __call__(self) -> float:
+        return access_improvement(self.problem, self.plan)
 
 
 class SKPResult:
@@ -269,9 +285,7 @@ def solve_skp(
         j = k + 1
 
     plan = PrefetchPlan.from_trusted(tuple(map(view.items.__getitem__, best)))
-    # A partial, not a closure, so results stay picklable.
-    gain = partial(access_improvement, view.problem, plan)
-    return SKPResult(plan, gain, g_best, nodes, cutoffs, variant)
+    return SKPResult(plan, _LazyGain(view.problem, plan), g_best, nodes, cutoffs, variant)
 
 
 def check_skp_options(variant: str, node_budget: int | None) -> None:
