@@ -7,8 +7,9 @@ draws (CRN) and records simulator throughput next to the drift outcome
 kind), under ``results/bench_drift.*``.  Two things are being watched:
 
 * **throughput** — the online path gives up the static-provider fast paths
-  (victim memo, support cache) and pays a predictor update per request, so
-  events/s quantifies the cost of adaptivity against the oracle baseline;
+  (victim memo, rows ranked once per distinct static row) and pays a
+  predictor update and a row ranking per request, so events/s quantifies
+  the cost of adaptivity against the oracle baseline;
 * **outcome** — the windowed hit-rate trajectory is the headline result of
   the drift experiments: the oracle-at-t0 model degrades after a shift
   while the online model recovers.

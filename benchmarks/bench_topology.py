@@ -51,6 +51,7 @@ def _run_point(population, config, seed):
 
 
 def main() -> int:
+    from repro.distsys.fleet import FleetConfig
     from repro.distsys.topology import TopologyConfig
     from repro.viz.csvout import write_rows
     from repro.workload.population import zipf_mixture_population
@@ -63,13 +64,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=53)
     args = parser.parse_args()
 
+    fleet = FleetConfig(concurrency=args.concurrency, miss_penalty=10.0)
     common = dict(
         n_edges=2,
         edge_cache_size=25,
         mid_cache_size=50,
         edge_prefetch_budget=4,
-        concurrency=args.concurrency,
-        miss_penalty=10.0,
     )
     rows: list[list[str]] = []
     record: dict = {
@@ -123,7 +123,9 @@ def main() -> int:
                 n_clients, args.catalog, args.requests,
                 overlap=0.8, stagger=50.0, seed=args.seed,
             )
-            config = TopologyConfig(topology=topology, placement="both", **common)
+            config = TopologyConfig(
+                topology=topology, placement="both", fleet=fleet, **common
+            )
             result, elapsed, che = _run_point(population, config, args.seed)
             row = emit_row("scaling", topology, n_clients, "both",
                            population, result, elapsed, che)
@@ -143,7 +145,9 @@ def main() -> int:
         8, args.catalog, args.requests, overlap=0.8, stagger=50.0, seed=args.seed,
     )
     for placement in PLACEMENTS:
-        config = TopologyConfig(topology="tree", placement=placement, **common)
+        config = TopologyConfig(
+            topology="tree", placement=placement, fleet=fleet, **common
+        )
         result, elapsed, che = _run_point(population, config, args.seed)
         row = emit_row("placement", "tree", 8, placement,
                        population, result, elapsed, che)
@@ -160,6 +164,8 @@ def main() -> int:
         "topology",
         params={
             **common,
+            "concurrency": fleet.concurrency,
+            "miss_penalty": fleet.miss_penalty,
             "catalog": args.catalog,
             "requests_per_client": args.requests,
             "seed": args.seed,

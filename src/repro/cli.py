@@ -149,54 +149,42 @@ def _cmd_figure7(args: argparse.Namespace) -> int:
     return 0
 
 
-def _population_from_args(args: argparse.Namespace, client_ids=None):
-    """Validate the shared fleet/topology population options and build one.
+def _build_from_args(args: argparse.Namespace, kind: str, **knobs):
+    """Build the system one ``fleet`` / ``topology`` invocation describes.
 
-    Both subcommands expose the same workload surface (--source, --clients,
-    --requests, --catalog, --overlap, --stagger, --seed) plus --policy and
-    --server-cache; keeping the checks and construction here stops the two
-    front doors from drifting apart.
+    The shared options (and the subcommand's own ``knobs``) map onto the
+    ``kind``'s workload defaults and go through the experiment kinds'
+    builder, :func:`repro.experiments.engine.build_fleet`, so a bad value
+    fails exactly as it does in a spec — here as a one-line usage error.
+    The population and server cache are seeded with the raw ``--seed``.
     """
-    from repro.experiments import CACHE_POLICIES, PIPELINES, PREDICTORS, WORKLOADS
-    from repro.workload.dynamics import MARKOV_DYNAMICS_KINDS, DynamicsConfig
+    from repro.experiments import KIND_INFO, RegistryError
+    from repro.experiments.engine import build_fleet
 
-    if args.policy not in PIPELINES:
-        args.parser.error(
-            f"unknown pipeline {args.policy!r}; available: {', '.join(PIPELINES.names())}"
-        )
-    if args.server_cache not in CACHE_POLICIES:
-        args.parser.error(
-            f"unknown cache policy {args.server_cache!r}; "
-            f"available: {', '.join(CACHE_POLICIES.names())}"
-        )
-    if args.source not in ("zipf-mix", "markov-pop"):
-        args.parser.error("--source must be zipf-mix or markov-pop")
-    if args.online_predictor not in PREDICTORS:
-        args.parser.error(
-            f"unknown predictor {args.online_predictor!r}; "
-            f"available: {', '.join(PREDICTORS.names())}"
-        )
-    if args.source == "markov-pop" and args.drift not in MARKOV_DYNAMICS_KINDS:
-        args.parser.error(
-            f"markov-pop supports --drift {'/'.join(MARKOV_DYNAMICS_KINDS)}"
-        )
-    dynamics = DynamicsConfig(kind=args.drift, n_regimes=args.drift_regimes)
-    common = dict(
-        stagger=args.stagger, seed=args.seed, dynamics=dynamics,
-        client_ids=client_ids,
+    wl = dict(KIND_INFO[kind].workload_defaults)
+    wl.update(
+        policy=args.policy,
+        n_clients=args.clients,
+        source=args.source,
+        n=args.catalog,
+        overlap=args.overlap,
+        stagger=args.stagger,
+        cache_capacity=args.cache_capacity,
+        concurrency=args.concurrency,
+        discipline=args.discipline,
+        server_cache=args.server_cache,
+        server_cache_size=args.server_cache_size,
+        miss_penalty=args.miss_penalty,
+        drift=args.drift,
+        drift_regimes=args.drift_regimes,
+        model_source=args.model_source,
+        online_predictor=args.online_predictor,
+        **knobs,
     )
-    if args.source == "zipf-mix":
-        dyn = WORKLOADS.create(
-            "zipf-mix:dynamic", args.clients, args.catalog, args.requests,
-            overlap=args.overlap,
-            v_quantum=getattr(args, "v_quantum", 0.0),
-            **common,
-        )
-    else:
-        dyn = WORKLOADS.create(
-            "markov-pop:dynamic", args.clients, args.catalog, args.requests, **common
-        )
-    return dyn.population
+    try:
+        return build_fleet(wl, args.requests, args.seed)
+    except (ValueError, RegistryError) as exc:
+        args.parser.error(str(exc))
 
 
 def _run_maybe_profiled(args: argparse.Namespace, fn, *fn_args, **fn_kwargs):
@@ -217,51 +205,19 @@ def _run_maybe_profiled(args: argparse.Namespace, fn, *fn_args, **fn_kwargs):
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.distsys.fleet import FleetConfig, run_fleet
-    from repro.experiments import PIPELINES, build_server_cache
+    from repro.distsys.fleet import run_fleet
 
-    # The config is built before the population (the hybrid engine builds
-    # its population lazily), so the pipeline check cannot ride on
-    # _population_from_args here.
-    if args.policy not in PIPELINES:
-        args.parser.error(
-            f"unknown pipeline {args.policy!r}; available: {', '.join(PIPELINES.names())}"
-        )
-    pipeline = dict(PIPELINES.get(args.policy))
-    config = FleetConfig(
-        cache_capacity=args.cache_capacity,
-        strategy=str(pipeline["strategy"]),
-        sub_arbitration=pipeline["sub_arbitration"],
-        concurrency=None if args.concurrency <= 0 else args.concurrency,
-        discipline=args.discipline,
-        miss_penalty=args.miss_penalty,
-        model_source=args.model_source,
-        online_predictor=args.online_predictor,
+    build = _build_from_args(
+        args,
+        "fleet",
         engine=args.engine,
         hybrid_sample=args.hybrid_sample,
+        v_quantum=args.v_quantum,
     )
-    server_cache = None
-    if args.engine == "hybrid":
-        # Only the K sampled clients are ever materialised — a 10^6-client
-        # invocation costs the sample, not the population.
-        from repro.distsys.megafleet import run_hybrid_fleet
-
-        res = _run_maybe_profiled(
-            args,
-            run_hybrid_fleet,
-            lambda ids: _population_from_args(args, client_ids=ids),
-            args.clients,
-            config,
-            server_cache_size=args.server_cache_size,
-        )
-    else:
-        population = _population_from_args(args)
-        server_cache = build_server_cache(
-            args.server_cache, args.server_cache_size, population.sizes, seed=args.seed
-        )
-        res = _run_maybe_profiled(
-            args, run_fleet, population, config, server_cache=server_cache
-        )
+    res = _run_maybe_profiled(
+        args, run_fleet, build.population, build.config,
+        server_cache=build.server_cache,
+    )
     agg = res.aggregate
     print(
         f"fleet: {args.clients} clients x {args.requests} requests "
@@ -287,7 +243,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{res.prefetch_load_frac:.3f}  transfers {res.transfers_granted}  "
         f"makespan {res.makespan:.1f}  events {res.events}"
     )
-    if server_cache is not None:
+    if args.engine == "event" and build.server_cache is not None:
         print(f"  server cache hit rate {res.server_cache_hit_rate:.3f}")
     if args.engine == "cohort":
         print(
@@ -308,42 +264,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.analysis.cacheperf import che_edge_reference
-    from repro.distsys.topology import CacheNetwork, TopologyConfig, topology_names
-    from repro.experiments import CACHE_POLICIES, PIPELINES, build_server_cache
+    from repro.distsys.topology import CacheNetwork
 
-    if args.topology not in topology_names():
-        args.parser.error(
-            f"unknown topology {args.topology!r}; available: {', '.join(topology_names())}"
-        )
-    if args.edge_cache not in CACHE_POLICIES:
-        args.parser.error(
-            f"unknown cache policy {args.edge_cache!r}; "
-            f"available: {', '.join(CACHE_POLICIES.names())}"
-        )
-    population = _population_from_args(args)
-    pipeline = dict(PIPELINES.get(args.policy))
-    config = TopologyConfig(
+    build = _build_from_args(
+        args,
+        "topology",
         topology=args.topology,
         n_edges=args.edges,
-        cache_capacity=args.cache_capacity,
-        strategy=str(pipeline["strategy"]),
-        sub_arbitration=pipeline["sub_arbitration"],
         placement=args.placement,
         edge_cache=args.edge_cache,
         edge_cache_size=args.edge_cache_size,
         edge_prefetch_budget=args.edge_prefetch_budget,
         mid_cache_size=args.mid_cache_size,
-        concurrency=None if args.concurrency <= 0 else args.concurrency,
-        discipline=args.discipline,
-        miss_penalty=args.miss_penalty,
-        model_source=args.model_source,
-        online_predictor=args.online_predictor,
-    )
-    server_cache = build_server_cache(
-        args.server_cache, args.server_cache_size, population.sizes, seed=args.seed
     )
     network = CacheNetwork(
-        population, config, server_cache=server_cache, seed=args.seed
+        build.population, build.config, server_cache=build.server_cache, seed=args.seed
     )
     res = _run_maybe_profiled(args, network.run)
     agg = res.aggregate
@@ -351,18 +286,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     # --edges, and edge-side speculation is inert without a cache to fill
     # (star / --edge-cache-size 0) or with a zero prefetch budget.
     n_edges = res.tiers[0].n_proxies
-    client_side = args.placement in ("client", "both")
-    edge_side = (
-        args.placement in ("edge", "both")
-        and res.tiers[0].caching
-        and args.edge_prefetch_budget > 0
-    )
-    placement = {
-        (False, False): "none",
-        (True, False): "client",
-        (False, True): "edge",
-        (True, True): "both",
-    }[(client_side, edge_side)]
+    placement = args.placement
+    if not (res.tiers[0].caching and args.edge_prefetch_budget > 0):
+        placement = {"edge": "none", "both": "client"}.get(placement, placement)
     print(
         f"topology: {args.topology}, {args.clients} clients x {args.requests} "
         f"requests ({args.source}, catalog {args.catalog}, "
@@ -398,9 +324,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         f"transfers {res.transfers_granted}  makespan {res.makespan:.1f}  "
         f"events {res.events}"
     )
-    if server_cache is not None:
+    if build.server_cache is not None:
         print(f"  origin cache hit rate {res.server_cache_hit_rate:.3f}")
-    che = che_edge_reference(population, res)
+    che = che_edge_reference(build.population, res)
     if che > 0.0:
         print(f"  che edge reference (IRM, unfiltered demand): {che:.3f}")
     return 0

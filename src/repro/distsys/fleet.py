@@ -26,6 +26,7 @@ single-client entry point — give it a one-client
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +46,12 @@ from repro.distsys.planning import (
 )
 from repro.distsys.server import ItemServer
 from repro.simulation.metrics import AccessStats, FleetAggregate, aggregate_access_stats
-from repro.workload.population import ClientWorkload, Population
+from repro.workload.population import (
+    ClientWorkload,
+    LazyPopulation,
+    Population,
+    subset_population,
+)
 
 __all__ = [
     "FleetConfig",
@@ -95,6 +101,13 @@ class FleetConfig:
             raise ValueError("cache_capacity must be non-negative")
         if self.planning_window not in ("nominal", "effective"):
             raise ValueError(f"unknown planning_window {self.planning_window!r}")
+        if self.concurrency is not None and self.concurrency < 1:
+            raise ValueError(
+                f"concurrency must be a positive slot count or None (unbounded), "
+                f"got {self.concurrency!r}"
+            )
+        if self.discipline not in ("fifo", "fair"):
+            raise ValueError(f"discipline must be 'fifo' or 'fair', got {self.discipline!r}")
         if self.model_source not in ("oracle", "online"):
             raise ValueError(
                 f"model_source must be 'oracle' or 'online', got {self.model_source!r}"
@@ -105,6 +118,19 @@ class FleetConfig:
             )
         if self.hybrid_sample < 1:
             raise ValueError("hybrid_sample must be positive")
+        self.prefetcher()  # strategy, variant and sub-arbitration fail here
+
+    def prefetcher(self) -> Prefetcher:
+        """The planner every client of this fleet plans with."""
+        return Prefetcher(
+            strategy=self.strategy,
+            variant=self.skp_variant,
+            sub_arbitration=self.sub_arbitration,
+            # Online rows are learned, so they can carry exactly tied
+            # probabilities that defeat bound pruning; cap the solve.
+            # Oracle rows keep the proven-optimal (bit-exact) search.
+            node_budget=ONLINE_NODE_BUDGET if self.model_source == "online" else None,
+        )
 
 
 class FleetClient:
@@ -347,14 +373,14 @@ class FleetResult:
         return self.aggregate.mean_access_time
 
 
-def build_client_model(config, n_items: int):
+def build_client_model(config: FleetConfig, n_items: int):
     """One fresh per-client online predictor, or None for the oracle path.
 
     Resolved by name in :data:`repro.experiments.registry.PREDICTORS`
     (lazy import — same layering concession :mod:`repro.distsys.topology`
     makes for its edge predictors).
     """
-    if getattr(config, "model_source", "oracle") != "online":
+    if config.model_source != "online":
         return None
     from repro.experiments.registry import PREDICTORS
 
@@ -386,15 +412,7 @@ class Fleet:
             concurrency=config.concurrency,
             discipline=config.discipline,
         )
-        prefetcher = Prefetcher(
-            strategy=config.strategy,
-            variant=config.skp_variant,
-            sub_arbitration=config.sub_arbitration,
-            # Online rows are learned, so they can carry exactly tied
-            # probabilities that defeat bound pruning; cap the solve.
-            # Oracle rows keep the proven-optimal (bit-exact) search.
-            node_budget=ONLINE_NODE_BUDGET if config.model_source == "online" else None,
-        )
+        prefetcher = config.prefetcher()
         self.clients = [
             FleetClient(
                 workload,
@@ -427,19 +445,19 @@ class Fleet:
 
 
 def run_fleet(
-    population: Population,
+    population: Population | LazyPopulation,
     config: FleetConfig = FleetConfig(),
     *,
     server_cache: Cache | None = None,
 ) -> FleetResult:
     """Build and run a fleet in one call, dispatching on ``config.engine``.
 
-    The hybrid path here models exactly ``population.n_clients`` clients
-    from an already-materialised population (sampling via
-    :func:`~repro.workload.population.subset_population`); to model a
-    fleet far larger than what you can afford to build, call
-    :func:`repro.distsys.megafleet.run_hybrid_fleet` directly with a
-    ``client_ids``-aware population factory.
+    The hybrid engine samples ``config.hybrid_sample`` members of
+    ``population``: pass a :class:`~repro.workload.population.LazyPopulation`
+    to model a fleet far larger than what you can afford to build (only the
+    sample is ever built), or a built population to sample from it.  It
+    closes a shared server cache analytically from ``server_cache``'s
+    capacity.  The event and cohort engines need a built population.
     """
     if config.engine == "cohort":
         from repro.distsys.megafleet import run_cohort_fleet
@@ -447,10 +465,13 @@ def run_fleet(
         return run_cohort_fleet(population, config, server_cache=server_cache)
     if config.engine == "hybrid":
         from repro.distsys.megafleet import run_hybrid_fleet
-        from repro.workload.population import subset_population
 
+        if isinstance(population, Population):
+            population = LazyPopulation(
+                population.n_clients, partial(subset_population, population)
+            )
         return run_hybrid_fleet(
-            lambda ids: subset_population(population, ids),
+            population,
             population.n_clients,
             config,
             server_cache_size=getattr(server_cache, "capacity", 0),

@@ -59,7 +59,6 @@ from repro.analysis.cacheperf import (
     miss_stream_cascade,
     service_moments,
 )
-from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.distsys.fleet import FleetConfig, FleetResult, build_client_model
 from repro.distsys.network import Channel, Link, ServiceSums
 from repro.distsys.planning import ClientPlanState, RankedRowCache, step, warm_start
@@ -205,14 +204,7 @@ class CohortFleet:
         self.config = config
         self.link = Link(latency=config.latency, bandwidth=config.bandwidth)
         self.retrievals = self.link.retrieval_times(population.sizes)
-        self.prefetcher = Prefetcher(
-            strategy=config.strategy,
-            variant=config.skp_variant,
-            sub_arbitration=config.sub_arbitration,
-            # Same guard as the event engine: learned rows may carry tied
-            # probabilities that defeat bound pruning (see core.planner).
-            node_budget=ONLINE_NODE_BUDGET if config.model_source == "online" else None,
-        )
+        self.prefetcher = config.prefetcher()
         #: Cohort-level memoization is sound only when provider rows never
         #: change (oracle model) and plans ignore the per-client frequency
         #: vectors (no LFU/DS sub-arbitration).  Otherwise the kernel still

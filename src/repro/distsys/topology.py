@@ -41,7 +41,7 @@ across the sweep, so differences are placement effects.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Callable
 
 import numpy as np
@@ -50,7 +50,12 @@ from repro.cache.base import Cache
 from repro.core.planner import ONLINE_NODE_BUDGET, Prefetcher
 from repro.core.types import PrefetchProblem
 from repro.distsys.events import EventQueue
-from repro.distsys.fleet import FleetClient, build_client_model, run_to_quiescence
+from repro.distsys.fleet import (
+    FleetClient,
+    FleetConfig,
+    build_client_model,
+    run_to_quiescence,
+)
 from repro.distsys.network import Link, ServerUplink
 from repro.distsys.server import ItemServer
 from repro.prediction.base import AccessPredictor
@@ -78,23 +83,19 @@ _PLACEMENTS = ("none", "client", "edge", "both")
 class TopologyConfig:
     """Knobs of one cache-hierarchy run.
 
-    The client-tier fields mirror :class:`~repro.distsys.fleet.FleetConfig`
-    exactly; the ``edge_*`` / ``mid_*`` fields shape the proxy tiers the
-    selected ``topology`` builds.  ``placement`` decides where speculation
-    runs: at the clients, at the edge proxies, at both, or nowhere — it
-    gates the machinery, so sweeping it compares identical workloads.
+    ``fleet`` is the client tier and the origin, with the meaning they have
+    in a flat fleet: the clients' cache, planner, link and planning model,
+    the origin uplink's slots and discipline and the backing-store penalty.
+    The ``edge_*`` / ``mid_*`` fields shape the proxy tiers the selected
+    ``topology`` builds.  ``placement`` decides where speculation runs: at
+    the clients, at the edge proxies, at both, or nowhere — it gates the
+    machinery (see :meth:`client_fleet`), so sweeping it compares identical
+    workloads.
     """
 
     topology: str = "tree"
     n_edges: int = 2
-    # -- client tier (FleetConfig semantics) ---------------------------
-    cache_capacity: int = 8
-    strategy: str = "skp"  # "none" | "kp" | "skp"
-    sub_arbitration: str | None = None  # None | "lfu" | "ds"
-    skp_variant: str = "corrected"
-    planning_window: str = "nominal"  # "nominal" | "effective"
-    latency: float = 0.0  # client access link
-    bandwidth: float = 1.0
+    fleet: FleetConfig = FleetConfig()  # client tier + origin
     # -- speculation placement ----------------------------------------
     placement: str = "both"  # "none" | "client" | "edge" | "both"
     # -- edge tier -----------------------------------------------------
@@ -114,39 +115,45 @@ class TopologyConfig:
     mid_uplink_streams: int = 4
     mid_latency: float = 0.0  # mid → origin hop
     mid_bandwidth: float = 1.0
-    # -- origin --------------------------------------------------------
-    concurrency: int | None = 4  # origin uplink slots; None = unbounded
-    discipline: str = "fifo"  # "fifo" | "fair"
-    miss_penalty: float = 0.0  # origin backing-store service penalty
-    # -- client planning model (FleetConfig semantics) ------------------
-    model_source: str = "oracle"  # "oracle" | "online"
-    online_predictor: str = "markov:ewma"
 
     def __post_init__(self) -> None:
-        if self.model_source not in ("oracle", "online"):
-            raise ValueError(
-                f"model_source must be 'oracle' or 'online', got {self.model_source!r}"
-            )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; one of {topology_names()}"
+            )
+        if self.fleet.engine != "event" and self.topology != "star":
+            raise ValueError(
+                "cohort/hybrid engines support only the 'star' topology "
+                f"(bit-exact with the flat fleet); got topology {self.topology!r}"
             )
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
         if self.n_edges < 1:
             raise ValueError("n_edges must be positive")
-        if self.cache_capacity < 0 or self.edge_cache_size < 0 or self.mid_cache_size < 0:
-            raise ValueError("cache sizes must be non-negative")
-        if self.planning_window not in ("nominal", "effective"):
-            raise ValueError(f"unknown planning_window {self.planning_window!r}")
+        if self.edge_cache_size < 0:
+            raise ValueError("edge_cache_size must be non-negative")
+        if self.mid_cache_size < 0:
+            raise ValueError("mid_cache_size must be non-negative")
         if self.edge_strategy not in ("skp", "kp"):
             raise ValueError(f"edge_strategy must be 'skp' or 'kp', got {self.edge_strategy!r}")
         if self.edge_prefetch_budget < 0:
             raise ValueError("edge_prefetch_budget must be non-negative")
         if self.edge_prefetch_window < 0:
             raise ValueError("edge_prefetch_window must be non-negative")
+        if self.edge_delivery_concurrency is not None and self.edge_delivery_concurrency < 1:
+            raise ValueError(
+                "edge_delivery_concurrency must be a positive slot count or None "
+                f"(unbounded), got {self.edge_delivery_concurrency!r}"
+            )
         if self.edge_uplink_streams < 1 or self.mid_uplink_streams < 1:
             raise ValueError("uplink_streams must be positive")
+
+    def client_fleet(self) -> FleetConfig:
+        """The fleet config the clients run: without client-side placement
+        they plan nothing (their cache keeps the pipeline's arbitration)."""
+        if self.placement in ("client", "both"):
+            return self.fleet
+        return replace(self.fleet, strategy="none")
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +512,11 @@ def _edge_tier(network: "CacheNetwork", parent, seed: int) -> list[ProxyNode]:
                 cache=cache,
                 predictor=predictor,
                 strategy=cfg.edge_strategy,
-                skp_variant=cfg.skp_variant,
+                skp_variant=cfg.fleet.skp_variant,
                 prefetch_budget=cfg.edge_prefetch_budget,
                 prefetch_window=cfg.edge_prefetch_window,
                 delivery_concurrency=cfg.edge_delivery_concurrency,
-                discipline=cfg.discipline,
+                discipline=cfg.fleet.discipline,
                 uplink_streams=cfg.edge_uplink_streams,
             )
         )
@@ -545,7 +552,7 @@ def _build_two_tier(network: "CacheNetwork", seed: int):
             cfg.mid_cache, cfg.mid_cache_size, network.population.sizes, mid_link,
             derive_seed(seed, tier="mid", proxy=0),
         ),
-        discipline=cfg.discipline,
+        discipline=cfg.fleet.discipline,
         uplink_streams=cfg.mid_uplink_streams,
     )
     edges = _edge_tier(network, mid, seed)
@@ -662,32 +669,28 @@ class CacheNetwork:
         server_cache: Cache | None = None,
         seed: int = 0,
     ) -> None:
+        fleet = config.client_fleet()
+        if fleet.engine != "event":
+            raise ValueError(
+                "a cache network runs on the event engine; run a star's "
+                "cohort/hybrid fleet with run_fleet(population, config.client_fleet())"
+            )
         self.population = population
         self.config = config
         self.queue = EventQueue()
         self.server = ItemServer(
-            population.sizes, cache=server_cache, miss_penalty=config.miss_penalty
+            population.sizes, cache=server_cache, miss_penalty=fleet.miss_penalty
         )
         self.origin = ServerUplink(
             self.queue,
             self.server,
-            concurrency=config.concurrency,
-            discipline=config.discipline,
+            concurrency=fleet.concurrency,
+            discipline=fleet.discipline,
         )
         self.tiers, attach, self.edge_of_client = TOPOLOGIES[config.topology](self, seed)
-        client_strategy = (
-            config.strategy if config.placement in ("client", "both") else "none"
-        )
-        prefetcher = Prefetcher(
-            strategy=client_strategy,
-            variant=config.skp_variant,
-            sub_arbitration=config.sub_arbitration,
-            # Same guard as the fleet: learned online rows may carry tied
-            # probabilities that defeat bound pruning (see core.planner).
-            node_budget=ONLINE_NODE_BUDGET if config.model_source == "online" else None,
-        )
+        prefetcher = fleet.prefetcher()
         retrievals = self.server.retrieval_times(
-            Link(latency=config.latency, bandwidth=config.bandwidth)
+            Link(latency=fleet.latency, bandwidth=fleet.bandwidth)
         )
         transfer = retrievals.tolist()
         self.clients = [
@@ -698,9 +701,9 @@ class CacheNetwork:
                 attach[i],
                 self.queue,
                 prefetcher,
-                cache_capacity=config.cache_capacity,
-                planning_window=config.planning_window,
-                model=build_client_model(config, self.server.n_items),
+                cache_capacity=fleet.cache_capacity,
+                planning_window=fleet.planning_window,
+                model=build_client_model(fleet, self.server.n_items),
             )
             for i, workload in enumerate(population.clients)
         ]

@@ -20,10 +20,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 import repro
+from repro.cache.base import Cache
+from repro.distsys.fleet import FleetConfig
+from repro.distsys.topology import TopologyConfig
 from repro.experiments.artifacts import CellResult, ExperimentResult
 from repro.experiments.registry import (
     CACHE_POLICIES,
@@ -32,10 +36,22 @@ from repro.experiments.registry import (
     STRATEGIES,
     WORKLOADS,
     CacheContext,
+    build_server_cache,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.workload.dynamics import DynamicsConfig, DynamicsInfo
+from repro.workload.population import LazyPopulation, Population
 
-__all__ = ["run", "run_cell", "run_cell_chunk", "default_workers"]
+__all__ = [
+    "FleetBuild",
+    "build_config",
+    "build_fleet",
+    "cell_knobs",
+    "default_workers",
+    "run",
+    "run_cell",
+    "run_cell_chunk",
+]
 
 #: Callback invoked after each finished cell: ``progress(done, total, cell_result)``.
 ProgressCallback = Callable[[int, int, CellResult], None]
@@ -172,47 +188,122 @@ def _run_predictor_eval(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     }
 
 
-def _dynamics_config(wl: Mapping):
-    """The cell's :class:`~repro.workload.dynamics.DynamicsConfig`.
+# ---------------------------------------------------------------------------
+# The fleet-like kinds (fleet, topology, drift, tournament): one builder
+# ---------------------------------------------------------------------------
 
-    ``wl`` comes from :meth:`ExperimentSpec.cell_workload`, which fills
-    every drift knob from the kind defaults — indexing (not ``.get``)
-    keeps spec.py's ``_DRIFT_WORKLOAD_DEFAULTS`` the single source of
-    truth for default values.
+def cell_knobs(spec: ExperimentSpec, cell: Mapping) -> dict:
+    """Every knob of a fleet-like cell: the spec's workload, then the cell's axes.
+
+    The mapping :func:`build_config` and :func:`build_fleet` read.  The
+    tournament's ``scenario`` axis is the dynamics kind and its
+    ``predictor`` axis the clients' online model.
     """
-    from repro.workload.dynamics import DynamicsConfig
+    wl = {**spec.effective_workload(), **cell}
+    if spec.kind == "tournament":
+        wl["drift"] = wl.pop("scenario")
+        wl["online_predictor"] = wl.pop("predictor")
+    return wl
 
-    return DynamicsConfig(
-        kind=str(wl["drift"]),
-        n_regimes=int(wl["drift_regimes"]),
-        switch_every=int(wl["drift_switch_every"]),
-        drift_to=float(wl["drift_to"]),
-        flash_start=float(wl["flash_start"]),
-        flash_duration=float(wl["flash_duration"]),
-        flash_items=int(wl["flash_items"]),
-        flash_boost=float(wl["flash_boost"]),
-        diurnal_amplitude=float(wl["diurnal_amplitude"]),
-        diurnal_period=float(wl["diurnal_period"]),
+
+def build_config(wl: Mapping):
+    """The :class:`~repro.distsys.fleet.FleetConfig` a resolved workload
+    describes, wrapped in a :class:`~repro.distsys.topology.TopologyConfig`
+    when the mapping names a ``topology``.
+
+    Building it is the validation of every service knob: the configs reject
+    bad values with :class:`ValueError` (spec validation re-raises them as
+    :class:`~repro.experiments.spec.SpecError`), and the component names
+    the run will resolve — pipeline, server and proxy cache policies,
+    predictors — are looked up here, so a typo fails before any
+    population is drawn.  ``concurrency`` and ``edge_delivery_concurrency``
+    0 mean unbounded.
+    """
+    pipeline = dict(PIPELINES.get(str(wl["policy"])))
+    CACHE_POLICIES.get(str(wl["server_cache"]))
+    PREDICTORS.get(str(wl["online_predictor"]))
+    concurrency = int(wl["concurrency"])
+    fleet = FleetConfig(
+        cache_capacity=int(wl["cache_capacity"]),
+        strategy=str(pipeline["strategy"]),
+        sub_arbitration=pipeline["sub_arbitration"],
+        skp_variant=str(wl["skp_variant"]),
+        planning_window=str(wl["planning_window"]),
+        concurrency=None if concurrency == 0 else concurrency,
+        discipline=str(wl["discipline"]),
+        latency=float(wl["latency"]),
+        bandwidth=float(wl["bandwidth"]),
+        miss_penalty=float(wl["miss_penalty"]),
+        model_source=str(wl["model_source"]),
+        online_predictor=str(wl["online_predictor"]),
+        # The drift and tournament kinds have no engine knob: their
+        # windowed and pre/post-shift metrics need the event timeline.
+        engine=str(wl.get("engine", "event")),
+        hybrid_sample=int(wl.get("hybrid_sample", FleetConfig.hybrid_sample)),
+    )
+    if fleet.engine == "cohort" and int(wl["server_cache_size"]) > 0:
+        raise ValueError(
+            "the cohort engine runs every client independently; a shared "
+            "server cache couples them — set server_cache_size to 0, or use "
+            "the event engine or the hybrid engine's analytic closure"
+        )
+    if "topology" not in wl:
+        return fleet
+    for name in ("edge_cache", "mid_cache"):
+        CACHE_POLICIES.get(str(wl[name]))
+    PREDICTORS.get(str(wl["edge_predictor"]))
+    edge_delivery = int(wl["edge_delivery_concurrency"])
+    return TopologyConfig(
+        topology=str(wl["topology"]),
+        n_edges=int(wl["n_edges"]),
+        fleet=fleet,
+        placement=str(wl["placement"]),
+        edge_cache=str(wl["edge_cache"]),
+        edge_cache_size=int(wl["edge_cache_size"]),
+        edge_predictor=str(wl["edge_predictor"]),
+        edge_strategy=str(wl["edge_strategy"]),
+        edge_prefetch_budget=int(wl["edge_prefetch_budget"]),
+        edge_prefetch_window=float(wl["edge_prefetch_window"]),
+        edge_delivery_concurrency=None if edge_delivery == 0 else edge_delivery,
+        edge_uplink_streams=int(wl["edge_uplink_streams"]),
+        edge_latency=float(wl["edge_latency"]),
+        edge_bandwidth=float(wl["edge_bandwidth"]),
+        mid_cache=str(wl["mid_cache"]),
+        mid_cache_size=int(wl["mid_cache_size"]),
+        mid_uplink_streams=int(wl["mid_uplink_streams"]),
+        mid_latency=float(wl["mid_latency"]),
+        mid_bandwidth=float(wl["mid_bandwidth"]),
     )
 
 
 def _build_dynamic_population(
     wl: Mapping, n_clients: int, requests: int, seed: int, client_ids=None
 ):
-    """Dynamics-aware population construction shared by fleet/topology/drift.
+    """The population a resolved workload describes, with its moving truth.
 
-    Returns a :class:`~repro.workload.dynamics.DynamicPopulation` (the
-    population plus its moving ground truth).  With ``drift == "none"`` the
-    builders delegate verbatim to the static population constructors, so
-    the zero-drift populations — and hence the fleet/topology tables — are
-    bit-identical to the pre-dynamics ones.
+    Returns a :class:`~repro.workload.dynamics.DynamicPopulation`.  With
+    ``drift == "none"`` the builders delegate verbatim to the static
+    population constructors, so the zero-drift populations — and hence the
+    fleet/topology tables — are bit-identical to the pre-dynamics ones.
+    ``client_ids`` materialises only the named members of the fleet.
     """
     common = dict(
         v_range=(float(wl["v_min"]), float(wl["v_max"])),
         size_range=(float(wl["size_min"]), float(wl["size_max"])),
         stagger=float(wl["stagger"]),
         seed=seed,
-        dynamics=_dynamics_config(wl),
+        dynamics=DynamicsConfig(
+            kind=str(wl["drift"]),
+            n_regimes=int(wl["drift_regimes"]),
+            switch_every=int(wl["drift_switch_every"]),
+            drift_to=float(wl["drift_to"]),
+            flash_start=float(wl["flash_start"]),
+            flash_duration=float(wl["flash_duration"]),
+            flash_items=int(wl["flash_items"]),
+            flash_boost=float(wl["flash_boost"]),
+            diurnal_amplitude=float(wl["diurnal_amplitude"]),
+            diurnal_period=float(wl["diurnal_period"]),
+        ),
         client_ids=client_ids,
     )
     if wl["source"] == "zipf-mix":
@@ -224,8 +315,8 @@ def _build_dynamic_population(
             exponent_range=(float(wl["exponent_min"]), float(wl["exponent_max"])),
             overlap=float(wl["overlap"]),
             top_k=int(wl["top_k"]),
-            # The drift kind predates the quantisation knob; .get keeps it
-            # optional there while the fleet/topology defaults supply it.
+            # The drift and tournament kinds predate the quantisation knob;
+            # .get keeps it optional there.
             v_quantum=float(wl.get("v_quantum", 0.0)),
             **common,
         )
@@ -239,92 +330,62 @@ def _build_dynamic_population(
     )
 
 
-def _build_population(
-    wl: Mapping, n_clients: int, requests: int, seed: int, client_ids=None
-):
-    """The fleet/topology kinds' population (dynamic ground truth dropped).
+@dataclass(frozen=True)
+class FleetBuild:
+    """What one fleet-like run is built from.
 
-    ``client_ids`` materialises only the named members of the fleet —
-    the hybrid engine's sampling hook, so a 10^6-client cell costs the
-    sample, not the population.
+    ``population`` is built, or for the hybrid engine a
+    :class:`~repro.workload.population.LazyPopulation` that builds only the
+    sampled members; ``dynamics`` is its moving ground truth (None when
+    lazy).  ``server_cache`` is None when the workload has none.
     """
-    return _build_dynamic_population(
-        wl, n_clients, requests, seed, client_ids=client_ids
-    ).population
+
+    population: Population | LazyPopulation
+    config: FleetConfig | TopologyConfig
+    server_cache: Cache | None
+    dynamics: DynamicsInfo | None
 
 
-def _fleet_service(spec: ExperimentSpec, cell: Mapping, wl: Mapping, sizes, seed: int):
-    """FleetConfig + shared server cache for one fleet-like cell.
+def build_fleet(wl: Mapping, requests: int, seed: int) -> FleetBuild:
+    """Build the system a resolved fleet-like workload describes.
 
-    The single construction the ``fleet`` and ``drift`` kinds share — a
-    knob added here reaches both, so the drift kind can never silently
-    simulate a different fleet than the fleet kind at equal parameters.
-    All service knobs read through :meth:`ExperimentSpec.cell_param`
-    (cell axis value if swept, workload default otherwise).
+    The one construction path of the fleet, topology, drift and tournament
+    kinds and of ``repro fleet`` / ``repro topology``: ``wl`` holds every
+    knob (see :func:`cell_knobs`), ``requests`` is the per-client request
+    count and ``seed`` seeds the population and the server cache.
     """
-    from repro.distsys.fleet import FleetConfig
-    from repro.experiments.registry import build_server_cache
-
-    pipeline = dict(PIPELINES.get(str(cell["policy"])))
-    concurrency = int(spec.cell_param(cell, "concurrency"))
-    latency, bandwidth = float(wl["latency"]), float(wl["bandwidth"])
-    if "engine" in spec.info.workload_defaults:
-        engine = str(spec.cell_param(cell, "engine"))
-        hybrid_sample = int(spec.cell_param(cell, "hybrid_sample"))
-    else:  # the drift kind: windowed metrics need the event timeline
-        engine, hybrid_sample = "event", 64
-    config = FleetConfig(
-        cache_capacity=int(spec.cell_param(cell, "cache_capacity")),
-        strategy=str(pipeline["strategy"]),
-        sub_arbitration=pipeline["sub_arbitration"],
-        skp_variant=str(wl["skp_variant"]),
-        planning_window=str(wl["planning_window"]),
-        concurrency=None if concurrency <= 0 else concurrency,  # 0 = unbounded
-        discipline=str(spec.cell_param(cell, "discipline")),
-        latency=latency,
-        bandwidth=bandwidth,
-        miss_penalty=float(wl["miss_penalty"]),
-        model_source=str(spec.cell_param(cell, "model_source")),
-        online_predictor=str(spec.cell_param(cell, "online_predictor")),
-        engine=engine,
-        hybrid_sample=hybrid_sample,
-    )
-    # The hybrid engine never materialises the fleet, so callers pass
-    # sizes=None and close the server cache analytically from its size.
-    server_cache = None if sizes is None else build_server_cache(
+    config = build_config(wl)
+    fleet = config.fleet if isinstance(config, TopologyConfig) else config
+    n_clients = int(wl["n_clients"])
+    if fleet.engine == "hybrid":
+        # Never materialise the fleet: the hybrid engine builds only the
+        # K sampled members, so a 10^6-client run costs the sample.
+        population = LazyPopulation(
+            n_clients,
+            lambda ids: _build_dynamic_population(
+                wl, n_clients, requests, seed, client_ids=ids
+            ).population,
+        )
+        dynamics = None
+    else:
+        built = _build_dynamic_population(wl, n_clients, requests, seed)
+        population, dynamics = built.population, built.info
+    server_cache = build_server_cache(
         str(wl["server_cache"]),
-        int(spec.cell_param(cell, "server_cache_size")),
-        sizes,
-        latency=latency,
-        bandwidth=bandwidth,
+        int(wl["server_cache_size"]),
+        population.sizes,
+        latency=float(wl["latency"]),
+        bandwidth=float(wl["bandwidth"]),
         seed=seed,
     )
-    return config, server_cache
+    return FleetBuild(population, config, server_cache, dynamics)
 
 
 def _run_fleet(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     from repro.distsys.fleet import run_fleet
 
-    wl = spec.cell_workload(cell)
-    n_clients = int(cell["n_clients"])
-    requests = int(spec.iterations)
-    if str(spec.cell_param(cell, "engine")) == "hybrid":
-        # Never materialise the fleet: hand the hybrid engine a factory
-        # that builds only the K sampled members on demand.
-        from repro.distsys.megafleet import run_hybrid_fleet
-
-        config, _ = _fleet_service(spec, cell, wl, None, seed)
-        res = run_hybrid_fleet(
-            lambda ids: _build_population(wl, n_clients, requests, seed, client_ids=ids),
-            n_clients,
-            config,
-            sample_size=config.hybrid_sample,
-            server_cache_size=int(spec.cell_param(cell, "server_cache_size")),
-        )
-    else:
-        population = _build_population(wl, n_clients, requests, seed)
-        config, server_cache = _fleet_service(spec, cell, wl, population.sizes, seed)
-        res = run_fleet(population, config, server_cache=server_cache)
+    build = build_fleet(cell_knobs(spec, cell), int(spec.iterations), seed)
+    res = run_fleet(build.population, build.config, server_cache=build.server_cache)
     return {
         "mean_access_time": res.aggregate.mean_access_time,
         "p95_access_time": res.aggregate.p95_access_time,
@@ -344,149 +405,38 @@ def _nan_to_zero(value: float) -> float:
 
 def _run_topology(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     from repro.analysis.cacheperf import che_edge_reference
-    from repro.distsys.topology import CacheNetwork, TopologyConfig
-    from repro.experiments.registry import build_server_cache
+    from repro.distsys.fleet import run_fleet
+    from repro.distsys.topology import CacheNetwork
 
-    wl = spec.cell_workload(cell)
-    n_clients = int(cell["n_clients"])
-    pipeline = dict(PIPELINES.get(str(cell["policy"])))
-
-    def param(name):
-        return spec.cell_param(cell, name)
-
-    concurrency = int(param("concurrency"))
-    if str(param("engine")) != "event":
-        # Spec validation pinned non-event engines to the star topology,
-        # whose single proxy is a verbatim pass-through to the origin —
-        # the fleet path reproduces it bit-exactly, so the cohort/hybrid
-        # engines run the same system without the event-level hierarchy.
-        return _run_topology_fleet_path(spec, cell, wl, pipeline, seed)
-    population = _build_population(wl, n_clients, int(spec.iterations), seed)
-    edge_delivery = int(param("edge_delivery_concurrency"))
-    config = TopologyConfig(
-        topology=str(param("topology")),
-        n_edges=int(param("n_edges")),
-        cache_capacity=int(wl["cache_capacity"]),
-        strategy=str(pipeline["strategy"]),
-        sub_arbitration=pipeline["sub_arbitration"],
-        skp_variant=str(wl["skp_variant"]),
-        planning_window=str(wl["planning_window"]),
-        latency=float(wl["latency"]),
-        bandwidth=float(wl["bandwidth"]),
-        placement=str(param("placement")),
-        edge_cache=str(wl["edge_cache"]),
-        edge_cache_size=int(param("edge_cache_size")),
-        edge_predictor=str(wl["edge_predictor"]),
-        edge_strategy=str(wl["edge_strategy"]),
-        edge_prefetch_budget=int(wl["edge_prefetch_budget"]),
-        edge_prefetch_window=float(wl["edge_prefetch_window"]),
-        edge_delivery_concurrency=None if edge_delivery <= 0 else edge_delivery,
-        edge_uplink_streams=int(wl["edge_uplink_streams"]),
-        edge_latency=float(wl["edge_latency"]),
-        edge_bandwidth=float(wl["edge_bandwidth"]),
-        mid_cache=str(wl["mid_cache"]),
-        mid_cache_size=int(wl["mid_cache_size"]),
-        mid_uplink_streams=int(wl["mid_uplink_streams"]),
-        mid_latency=float(wl["mid_latency"]),
-        mid_bandwidth=float(wl["mid_bandwidth"]),
-        concurrency=None if concurrency <= 0 else concurrency,  # 0 = unbounded
-        discipline=str(param("discipline")),
-        miss_penalty=float(wl["miss_penalty"]),
-        model_source=str(param("model_source")),
-        online_predictor=str(param("online_predictor")),
-    )
-    server_cache = build_server_cache(
-        str(wl["server_cache"]),
-        int(wl["server_cache_size"]),
-        population.sizes,
-        latency=float(wl["latency"]),
-        bandwidth=float(wl["bandwidth"]),
-        seed=seed,
-    )
-    network = CacheNetwork(population, config, server_cache=server_cache, seed=seed)
-    res = network.run()
-    mid = next((t for t in res.tiers if t.tier == "mid"), None)
-    return {
-        "mean_access_time": res.aggregate.mean_access_time,
-        "p95_access_time": res.aggregate.p95_access_time,
-        "hit_rate": res.aggregate.hit_rate,
-        "edge_hit_rate": _nan_to_zero(res.edge_hit_rate),
-        "che_edge_hit_rate": che_edge_reference(population, res),
-        "mid_hit_rate": _nan_to_zero(mid.hit_rate) if mid is not None else 0.0,
-        "origin_utilization": _nan_to_zero(res.origin_utilization),
-        "prefetch_load_frac": res.prefetch_load_frac,
-        "fairness": res.aggregate.fairness,
-    }
-
-
-def _run_topology_fleet_path(
-    spec: ExperimentSpec, cell: Mapping, wl: Mapping, pipeline: Mapping, seed: int
-) -> dict:
-    """Cohort/hybrid engines for the topology kind's star degenerate case.
-
-    The star builder interposes one pass-through proxy that relays every
-    request verbatim (edge-tier knobs ignored), so client traffic sees
-    exactly the fleet system: client cache + planner in front of the
-    origin uplink.  This helper rebuilds that system as a
-    :class:`~repro.distsys.fleet.FleetConfig` and dispatches on
-    ``engine``; edge-tier metrics report 0 — the pass-through proxy
-    caches nothing, matching the event path's NaN→0 convention.
-    """
-    from repro.distsys.fleet import FleetConfig, run_fleet
-    from repro.distsys.megafleet import run_hybrid_fleet
-    from repro.experiments.registry import build_server_cache
-
-    def param(name):
-        return spec.cell_param(cell, name)
-
-    n_clients = int(cell["n_clients"])
-    requests = int(spec.iterations)
-    engine = str(param("engine"))
-    concurrency = int(param("concurrency"))
-    client_side = str(param("placement")) in ("client", "both")
-    config = FleetConfig(
-        cache_capacity=int(wl["cache_capacity"]),
-        strategy=str(pipeline["strategy"]) if client_side else "none",
-        sub_arbitration=pipeline["sub_arbitration"] if client_side else None,
-        skp_variant=str(wl["skp_variant"]),
-        planning_window=str(wl["planning_window"]),
-        concurrency=None if concurrency <= 0 else concurrency,  # 0 = unbounded
-        discipline=str(param("discipline")),
-        latency=float(wl["latency"]),
-        bandwidth=float(wl["bandwidth"]),
-        miss_penalty=float(wl["miss_penalty"]),
-        model_source=str(param("model_source")),
-        online_predictor=str(param("online_predictor")),
-        engine=engine,
-        hybrid_sample=int(param("hybrid_sample")),
-    )
-    if engine == "hybrid":
-        res = run_hybrid_fleet(
-            lambda ids: _build_population(wl, n_clients, requests, seed, client_ids=ids),
-            n_clients,
-            config,
-            sample_size=config.hybrid_sample,
-            server_cache_size=int(wl["server_cache_size"]),
+    build = build_fleet(cell_knobs(spec, cell), int(spec.iterations), seed)
+    config = build.config
+    if config.fleet.engine != "event":
+        # Only the star runs on the cohort/hybrid engines: its single proxy
+        # relays every request verbatim to the origin, so the flat fleet of
+        # the client tier is the same system.  Its pass-through edge
+        # caches nothing, so the edge metrics report 0.
+        res = run_fleet(
+            build.population, config.client_fleet(), server_cache=build.server_cache
         )
+        edge_hit_rate = che_edge_hit_rate = mid_hit_rate = 0.0
+        utilization = res.server_utilization
     else:
-        population = _build_population(wl, n_clients, requests, seed)
-        server_cache = build_server_cache(
-            str(wl["server_cache"]),
-            int(wl["server_cache_size"]),
-            population.sizes,
-            latency=float(wl["latency"]),
-            bandwidth=float(wl["bandwidth"]),
-            seed=seed,
-        )
-        res = run_fleet(population, config, server_cache=server_cache)
+        res = CacheNetwork(
+            build.population, config, server_cache=build.server_cache, seed=seed
+        ).run()
+        mid = next((t for t in res.tiers if t.tier == "mid"), None)
+        edge_hit_rate = res.edge_hit_rate
+        che_edge_hit_rate = che_edge_reference(build.population, res)
+        mid_hit_rate = mid.hit_rate if mid is not None else 0.0
+        utilization = res.origin_utilization
     return {
         "mean_access_time": res.aggregate.mean_access_time,
         "p95_access_time": res.aggregate.p95_access_time,
         "hit_rate": res.aggregate.hit_rate,
-        "edge_hit_rate": 0.0,
-        "che_edge_hit_rate": 0.0,
-        "mid_hit_rate": 0.0,
-        "origin_utilization": _nan_to_zero(res.server_utilization),
+        "edge_hit_rate": _nan_to_zero(edge_hit_rate),
+        "che_edge_hit_rate": che_edge_hit_rate,
+        "mid_hit_rate": _nan_to_zero(mid_hit_rate),
+        "origin_utilization": _nan_to_zero(utilization),
         "prefetch_load_frac": res.prefetch_load_frac,
         "fairness": res.aggregate.fairness,
     }
@@ -503,7 +453,7 @@ _DRIFT_MEMO: dict = {}
 _DRIFT_MEMO_LIMIT = 32
 
 
-def _model_quality_replay(dynpop, model_source: str, online_predictor: str):
+def _model_quality_replay(population: Population, info: DynamicsInfo, config: FleetConfig):
     """Prequentially score the planning model against the moving truth.
 
     Replays every client's served stream (initial item, then the trace — the
@@ -515,13 +465,12 @@ def _model_quality_replay(dynpop, model_source: str, online_predictor: str):
     """
     from repro.simulation.metrics import kl_divergence
 
-    population, info = dynpop.population, dynpop.info
     requests = info.requests
     kl = np.empty((population.n_clients, requests))
     prob = np.empty((population.n_clients, requests))
     for cid, client in enumerate(population.clients):
-        if model_source == "online":
-            model = PREDICTORS.create(online_predictor, population.n_items)
+        if config.model_source == "online":
+            model = PREDICTORS.create(config.online_predictor, population.n_items)
             model.update(int(client.initial_item))
             row_of = model.conditional_row
         else:
@@ -541,9 +490,27 @@ def _model_quality_replay(dynpop, model_source: str, online_predictor: str):
     return kl, prob
 
 
+def _scored_fleet(spec: ExperimentSpec, cell: Mapping, seed: int):
+    """Run a drift or tournament cell's event fleet and score its model.
+
+    Returns the fleet result, the drift events its clients' models
+    counted, the per-request KL and assigned probability of
+    :func:`_model_quality_replay`, and the population's moving truth.
+    """
+    from repro.distsys.fleet import Fleet
+
+    build = build_fleet(cell_knobs(spec, cell), int(spec.iterations), seed)
+    fleet = Fleet(build.population, build.config, server_cache=build.server_cache)
+    res = fleet.run()
+    drift_events = sum(
+        getattr(c.state.model, "drift_events", 0) for c in fleet.clients
+    )
+    kl, prob = _model_quality_replay(build.population, build.dynamics, build.config)
+    return res, float(drift_events), kl, prob, build.dynamics
+
+
 def _drift_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     """Run (or recall) the drift cell's simulation and window its output."""
-    from repro.distsys.fleet import Fleet
     from repro.simulation.metrics import windowed_access_series
 
     key = (
@@ -555,20 +522,9 @@ def _drift_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     if cached is not None:
         return cached
 
-    wl = spec.cell_workload(cell)
-    n_clients = int(spec.cell_param(cell, "n_clients"))
-    model_source = str(spec.cell_param(cell, "model_source"))
-    online_predictor = str(spec.cell_param(cell, "online_predictor"))
     n_windows = int(spec.cell_param(cell, "n_windows"))
-    dynpop = _build_dynamic_population(wl, n_clients, int(spec.iterations), seed)
-    config, server_cache = _fleet_service(spec, cell, wl, dynpop.population.sizes, seed)
-    fleet = Fleet(dynpop.population, config, server_cache=server_cache)
-    res = fleet.run()
-    drift_events = sum(
-        getattr(c.state.model, "drift_events", 0) for c in fleet.clients
-    )
+    res, drift_events, kl, prob, _ = _scored_fleet(spec, cell, seed)
     series = windowed_access_series(res.client_stats, n_windows, by="index")
-    kl, prob = _model_quality_replay(dynpop, model_source, online_predictor)
     edges = np.linspace(0, int(spec.iterations), n_windows + 1)
     k_idx = np.arange(int(spec.iterations))
     w_of = np.minimum(
@@ -588,7 +544,7 @@ def _drift_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
         "model_prob": model_prob,
         "overall_hit_rate": res.aggregate.hit_rate,
         "overall_mean_access_time": res.aggregate.mean_access_time,
-        "drift_events": float(drift_events),
+        "drift_events": drift_events,
     }
     if len(_DRIFT_MEMO) >= _DRIFT_MEMO_LIMIT:
         _DRIFT_MEMO.clear()
@@ -629,7 +585,6 @@ _TOURNAMENT_MEMO_LIMIT = 64
 
 def _tournament_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:
     """Run (or recall) one tournament cell's fleet and score it pre/post-shift."""
-    from repro.distsys.fleet import Fleet
     from repro.simulation.metrics import AccessStats
 
     model_source = str(spec.cell_param(cell, "model_source"))
@@ -641,26 +596,8 @@ def _tournament_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> di
     if cached is not None:
         return cached
 
-    wl = dict(spec.cell_workload(cell))
-    wl["drift"] = str(cell["scenario"])
-    n_clients = int(spec.cell_param(cell, "n_clients"))
-    online_predictor = str(cell["predictor"])
     requests = int(spec.iterations)
-    # _fleet_service reads the pipeline and the online model from the cell;
-    # the tournament's "predictor" axis *is* the online model and the
-    # pipeline is a workload knob, so stage both under the names it expects.
-    cell_svc = dict(cell)
-    cell_svc["policy"] = str(spec.cell_param(cell, "policy"))
-    cell_svc["online_predictor"] = online_predictor
-    dynpop = _build_dynamic_population(wl, n_clients, requests, seed)
-    config, server_cache = _fleet_service(spec, cell_svc, wl, dynpop.population.sizes, seed)
-    fleet = Fleet(dynpop.population, config, server_cache=server_cache)
-    res = fleet.run()
-    drift_events = sum(
-        getattr(c.state.model, "drift_events", 0) for c in fleet.clients
-    )
-    kl, prob = _model_quality_replay(dynpop, model_source, online_predictor)
-    info = dynpop.info
+    res, drift_events, kl, prob, info = _scored_fleet(spec, cell, seed)
     # Score around the first ground-truth shift; scenarios without one
     # (none / zipf-drift / diurnal) split at the midpoint so pre/post stay
     # comparable columns across the whole scoreboard.
@@ -680,7 +617,7 @@ def _tournament_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> di
         "model_kl_post": float(kl[:, shift:].mean()),
         "model_prob_pre": float(prob[:, :shift].mean()),
         "model_prob_post": float(prob[:, shift:].mean()),
-        "drift_events": float(drift_events),
+        "drift_events": drift_events,
     }
     if len(_TOURNAMENT_MEMO) >= _TOURNAMENT_MEMO_LIMIT:
         _TOURNAMENT_MEMO.clear()

@@ -112,6 +112,10 @@ class SpecError(ValueError):
 #: excluded from cell-seed derivation so all components see the same draws.
 COMPONENT_AXES = ("policy", "predictor", "cache_size")
 
+#: The kinds that run a fleet of clients, built by
+#: :func:`repro.experiments.engine.build_fleet`.
+FLEET_KINDS = ("fleet", "topology", "drift", "tournament")
+
 #: Dynamics knobs shared by the fleet / topology / drift kinds.  They shape
 #: the request draws, so (unlike contention knobs) they are *workload*
 #: parameters: changing any of them changes the cell seed.
@@ -132,6 +136,74 @@ _DRIFT_WORKLOAD_DEFAULTS = {
 _MODEL_COMPONENT_DEFAULTS = {
     "model_source": "oracle",
     "online_predictor": "markov:ewma",
+}
+
+#: Population knobs of the fleet-like kinds: they shape the request draws.
+_POPULATION_DEFAULTS = {
+    "source": "zipf-mix",
+    "n": 100,
+    "exponent_min": 0.8,
+    "exponent_max": 1.2,
+    "overlap": 0.5,
+    "top_k": 20,
+    "out_min": 10,
+    "out_max": 20,
+    "v_min": 1.0,
+    "v_max": 100.0,
+    "size_min": 1.0,
+    "size_max": 30.0,
+    "stagger": 50.0,
+}
+
+#: Service knobs of the fleet-like kinds (FleetConfig semantics): the
+#: client tier — cache, planning, link — then the origin — uplink and
+#: server cache.  They select machinery, not draws.
+_CLIENT_TIER_DEFAULTS = {
+    "cache_capacity": 8,
+    "planning_window": "nominal",
+    "skp_variant": "corrected",
+    "latency": 0.0,
+    "bandwidth": 1.0,
+}
+_ORIGIN_DEFAULTS = {
+    "concurrency": 4,  # 0 = unbounded
+    "discipline": "fifo",
+    "server_cache": "lru",
+    "server_cache_size": 0,
+    "miss_penalty": 0.0,
+}
+_SERVICE_DEFAULTS = {**_CLIENT_TIER_DEFAULTS, **_ORIGIN_DEFAULTS}
+
+#: Engine knobs of the fleet and topology kinds.  The engine selects a
+#: kernel over the same modeled fleet, and v_quantum rounds the same
+#: viewing-time uniforms — machinery and deterministic post-processing, so
+#: all three keep common random numbers across their own sweeps.
+_ENGINE_DEFAULTS = {
+    "engine": "event",
+    "hybrid_sample": 64,
+    "v_quantum": 0.0,
+}
+
+#: The topology kind's proxy tiers (TopologyConfig semantics).
+_HIERARCHY_DEFAULTS = {
+    "topology": "tree",
+    "n_edges": 2,
+    "placement": "both",
+    "edge_cache": "lru",
+    "edge_cache_size": 25,
+    "edge_predictor": "markov",
+    "edge_strategy": "skp",
+    "edge_prefetch_budget": 4,
+    "edge_prefetch_window": 30.0,
+    "edge_delivery_concurrency": 0,  # 0 = unbounded
+    "edge_uplink_streams": 4,
+    "edge_latency": 0.0,
+    "edge_bandwidth": 1.0,
+    "mid_cache": "lru",
+    "mid_cache_size": 0,
+    "mid_uplink_streams": 4,
+    "mid_latency": 0.0,
+    "mid_bandwidth": 1.0,
 }
 
 
@@ -229,32 +301,9 @@ KIND_INFO: dict[str, KindInfo] = {
     ),
     "fleet": KindInfo(
         workload_defaults={
-            "source": "zipf-mix",
-            "n": 100,
-            "exponent_min": 0.8,
-            "exponent_max": 1.2,
-            "overlap": 0.5,
-            "top_k": 20,
-            "out_min": 10,
-            "out_max": 20,
-            "v_min": 1.0,
-            "v_max": 100.0,
-            "size_min": 1.0,
-            "size_max": 30.0,
-            "stagger": 50.0,
-            "cache_capacity": 8,
-            "planning_window": "nominal",
-            "skp_variant": "corrected",
-            "latency": 0.0,
-            "bandwidth": 1.0,
-            "concurrency": 4,
-            "discipline": "fifo",
-            "server_cache": "lru",
-            "server_cache_size": 0,
-            "miss_penalty": 0.0,
-            "v_quantum": 0.0,
-            "engine": "event",
-            "hybrid_sample": 64,
+            **_POPULATION_DEFAULTS,
+            **_SERVICE_DEFAULTS,
+            **_ENGINE_DEFAULTS,
             **_DRIFT_WORKLOAD_DEFAULTS,
             **_MODEL_COMPONENT_DEFAULTS,
         },
@@ -289,77 +338,17 @@ KIND_INFO: dict[str, KindInfo] = {
         # the draws, so oracle and online face identical request streams.
         component_params=(
             "n_clients",
-            "cache_capacity",
-            "planning_window",
-            "skp_variant",
-            "latency",
-            "bandwidth",
-            "concurrency",
-            "discipline",
-            "server_cache",
-            "server_cache_size",
-            "miss_penalty",
-            "model_source",
-            "online_predictor",
-            # The engine selects a kernel over the same modeled fleet, and
-            # v_quantum rounds the same viewing-time uniforms — machinery
-            # and deterministic post-processing, so all three keep common
-            # random numbers across their own sweeps.
-            "engine",
-            "hybrid_sample",
-            "v_quantum",
+            *_SERVICE_DEFAULTS,
+            *_MODEL_COMPONENT_DEFAULTS,
+            *_ENGINE_DEFAULTS,
         ),
     ),
     "topology": KindInfo(
         workload_defaults={
-            # population (identical to the fleet kind)
-            "source": "zipf-mix",
-            "n": 100,
-            "exponent_min": 0.8,
-            "exponent_max": 1.2,
-            "overlap": 0.5,
-            "top_k": 20,
-            "out_min": 10,
-            "out_max": 20,
-            "v_min": 1.0,
-            "v_max": 100.0,
-            "size_min": 1.0,
-            "size_max": 30.0,
-            "stagger": 50.0,
-            # client tier
-            "cache_capacity": 8,
-            "planning_window": "nominal",
-            "skp_variant": "corrected",
-            "latency": 0.0,
-            "bandwidth": 1.0,
-            # hierarchy
-            "topology": "tree",
-            "n_edges": 2,
-            "placement": "both",
-            "edge_cache": "lru",
-            "edge_cache_size": 25,
-            "edge_predictor": "markov",
-            "edge_strategy": "skp",
-            "edge_prefetch_budget": 4,
-            "edge_prefetch_window": 30.0,
-            "edge_delivery_concurrency": 0,  # 0 = unbounded
-            "edge_uplink_streams": 4,
-            "edge_latency": 0.0,
-            "edge_bandwidth": 1.0,
-            "mid_cache": "lru",
-            "mid_cache_size": 0,
-            "mid_uplink_streams": 4,
-            "mid_latency": 0.0,
-            "mid_bandwidth": 1.0,
-            # origin
-            "concurrency": 4,
-            "discipline": "fifo",
-            "server_cache": "lru",
-            "server_cache_size": 0,
-            "miss_penalty": 0.0,
-            "v_quantum": 0.0,
-            "engine": "event",
-            "hybrid_sample": 64,
+            **_POPULATION_DEFAULTS,
+            **_SERVICE_DEFAULTS,
+            **_HIERARCHY_DEFAULTS,
+            **_ENGINE_DEFAULTS,
             **_DRIFT_WORKLOAD_DEFAULTS,
             **_MODEL_COMPONENT_DEFAULTS,
         },
@@ -395,69 +384,18 @@ KIND_INFO: dict[str, KindInfo] = {
         # random numbers, so differences are placement effects.
         component_params=(
             "n_clients",
-            "cache_capacity",
-            "planning_window",
-            "skp_variant",
-            "latency",
-            "bandwidth",
-            "topology",
-            "n_edges",
-            "placement",
-            "edge_cache",
-            "edge_cache_size",
-            "edge_predictor",
-            "edge_strategy",
-            "edge_prefetch_budget",
-            "edge_prefetch_window",
-            "edge_delivery_concurrency",
-            "edge_uplink_streams",
-            "edge_latency",
-            "edge_bandwidth",
-            "mid_cache",
-            "mid_cache_size",
-            "mid_uplink_streams",
-            "mid_latency",
-            "mid_bandwidth",
-            "concurrency",
-            "discipline",
-            "server_cache",
-            "server_cache_size",
-            "miss_penalty",
-            "model_source",
-            "online_predictor",
-            "engine",
-            "hybrid_sample",
-            "v_quantum",
+            *_CLIENT_TIER_DEFAULTS,
+            *_HIERARCHY_DEFAULTS,
+            *_ORIGIN_DEFAULTS,
+            *_MODEL_COMPONENT_DEFAULTS,
+            *_ENGINE_DEFAULTS,
         ),
     ),
     "drift": KindInfo(
         workload_defaults={
-            # population (identical to the fleet kind)
-            "source": "zipf-mix",
-            "n": 100,
-            "exponent_min": 0.8,
-            "exponent_max": 1.2,
-            "overlap": 0.5,
-            "top_k": 20,
-            "out_min": 10,
-            "out_max": 20,
-            "v_min": 1.0,
-            "v_max": 100.0,
-            "size_min": 1.0,
-            "size_max": 30.0,
-            "stagger": 50.0,
+            **_POPULATION_DEFAULTS,
             "n_clients": 8,
-            # service (FleetConfig semantics)
-            "cache_capacity": 8,
-            "planning_window": "nominal",
-            "skp_variant": "corrected",
-            "latency": 0.0,
-            "bandwidth": 1.0,
-            "concurrency": 4,
-            "discipline": "fifo",
-            "server_cache": "lru",
-            "server_cache_size": 0,
-            "miss_penalty": 0.0,
+            **_SERVICE_DEFAULTS,
             # dynamics + model + windowing
             **dict(_DRIFT_WORKLOAD_DEFAULTS, drift="regime"),
             **dict(_MODEL_COMPONENT_DEFAULTS, online_predictor="frequency:ewma"),
@@ -484,52 +422,20 @@ KIND_INFO: dict[str, KindInfo] = {
         # and the predictor choose planning machinery.  All are CRN-safe.
         component_params=(
             "n_clients",
-            "cache_capacity",
-            "planning_window",
-            "skp_variant",
-            "latency",
-            "bandwidth",
-            "concurrency",
-            "discipline",
-            "server_cache",
-            "server_cache_size",
-            "miss_penalty",
-            "model_source",
-            "online_predictor",
+            *_SERVICE_DEFAULTS,
+            *_MODEL_COMPONENT_DEFAULTS,
             "window",
             "n_windows",
         ),
     ),
     "tournament": KindInfo(
         workload_defaults={
-            # population (identical to the drift kind)
-            "source": "zipf-mix",
-            "n": 100,
-            "exponent_min": 0.8,
-            "exponent_max": 1.2,
-            "overlap": 0.5,
-            "top_k": 20,
-            "out_min": 10,
-            "out_max": 20,
-            "v_min": 1.0,
-            "v_max": 100.0,
-            "size_min": 1.0,
-            "size_max": 30.0,
-            "stagger": 50.0,
+            **_POPULATION_DEFAULTS,
             "n_clients": 8,
-            # service (FleetConfig semantics); the pipeline is a knob, not
-            # an axis — the tournament compares predictors, not planners.
+            # The pipeline is a knob, not an axis — the tournament compares
+            # predictors, not planners.
             "policy": "skp+pr",
-            "cache_capacity": 8,
-            "planning_window": "nominal",
-            "skp_variant": "corrected",
-            "latency": 0.0,
-            "bandwidth": 1.0,
-            "concurrency": 4,
-            "discipline": "fifo",
-            "server_cache": "lru",
-            "server_cache_size": 0,
-            "miss_penalty": 0.0,
+            **_SERVICE_DEFAULTS,
             # dynamics knobs: the scenario *axis* selects the dynamics
             # kind (no "drift" workload key — one way to say it), these
             # shape the selected schedule.
@@ -559,16 +465,7 @@ KIND_INFO: dict[str, KindInfo] = {
         component_params=(
             "n_clients",
             "policy",
-            "cache_capacity",
-            "planning_window",
-            "skp_variant",
-            "latency",
-            "bandwidth",
-            "concurrency",
-            "discipline",
-            "server_cache",
-            "server_cache_size",
-            "miss_penalty",
+            *_SERVICE_DEFAULTS,
             "model_source",
         ),
     ),
@@ -709,132 +606,8 @@ class ExperimentSpec:
                         f"kind {self.kind!r} supports sources {list(info.sources)}, "
                         f"got {source!r}"
                     )
-        if self.kind in ("fleet", "topology", "drift"):
-            from repro.workload.dynamics import DYNAMICS_KINDS, MARKOV_DYNAMICS_KINDS
-
-            wl = self.effective_workload()
-            CACHE_POLICIES.get(str(wl["server_cache"]))  # typo fails at validation
-            for value in self.grid.get("n_clients", ()):
-                if not isinstance(value, int) or value < 1:
-                    raise SpecError(f"n_clients values must be positive ints, got {value!r}")
-            for value in self.grid.get("discipline", (wl["discipline"],)):
-                if value not in ("fifo", "fair"):
-                    raise SpecError(f"discipline must be 'fifo' or 'fair', got {value!r}")
-            if wl["drift"] not in DYNAMICS_KINDS:
-                raise SpecError(
-                    f"unknown drift kind {wl['drift']!r}; one of {list(DYNAMICS_KINDS)}"
-                )
-            sources = self.grid.get("source", (wl["source"],))
-            if "markov-pop" in sources and wl["drift"] not in MARKOV_DYNAMICS_KINDS:
-                raise SpecError(
-                    f"markov-pop supports drift kinds {list(MARKOV_DYNAMICS_KINDS)}, "
-                    f"got {wl['drift']!r}"
-                )
-            for value in self.grid.get("model_source", (wl["model_source"],)):
-                if value not in ("oracle", "online"):
-                    raise SpecError(
-                        f"model_source must be 'oracle' or 'online', got {value!r}"
-                    )
-            for value in self.grid.get("online_predictor", (wl["online_predictor"],)):
-                PREDICTORS.get(str(value))
-            if "engine" in info.workload_defaults:  # fleet/topology, not drift
-                engines = self.grid.get("engine", (wl["engine"],))
-                for value in engines:
-                    if value not in ("event", "cohort", "hybrid"):
-                        raise SpecError(
-                            f"engine must be event/cohort/hybrid, got {value!r}"
-                        )
-                if int(wl["hybrid_sample"]) < 1:
-                    raise SpecError("hybrid_sample must be positive")
-                if float(wl["v_quantum"]) < 0:
-                    raise SpecError("v_quantum must be non-negative")
-                if self.kind == "topology" and set(engines) != {"event"}:
-                    for topo in self.grid.get("topology", (wl["topology"],)):
-                        if topo != "star":
-                            raise SpecError(
-                                "cohort/hybrid engines support only the 'star' "
-                                "topology (bit-exact with the flat fleet); "
-                                f"got topology {topo!r}"
-                            )
-                if wl["drift"] != "none" and set(engines) != {"event"}:
-                    raise SpecError(
-                        "cohort/hybrid engines require drift 'none' (their "
-                        "populations are built per engine from static draws)"
-                    )
-        if self.kind == "tournament":
-            from repro.workload.dynamics import DYNAMICS_KINDS, MARKOV_DYNAMICS_KINDS
-
-            wl = self.effective_workload()
-            CACHE_POLICIES.get(str(wl["server_cache"]))
-            PIPELINES.get(str(wl["policy"]))
-            for value in self.grid.get("n_clients", (wl["n_clients"],)):
-                if not isinstance(value, int) or value < 1:
-                    raise SpecError(f"n_clients values must be positive ints, got {value!r}")
-            if wl["discipline"] not in ("fifo", "fair"):
-                raise SpecError(
-                    f"discipline must be 'fifo' or 'fair', got {wl['discipline']!r}"
-                )
-            allowed = (
-                MARKOV_DYNAMICS_KINDS if wl["source"] == "markov-pop" else DYNAMICS_KINDS
-            )
-            for value in self.grid.get("scenario", ()):
-                if value not in allowed:
-                    raise SpecError(
-                        f"unknown scenario {value!r} for source {wl['source']!r}; "
-                        f"one of {list(allowed)}"
-                    )
-            for value in self.grid.get("model_source", (wl["model_source"],)):
-                if value not in ("oracle", "online"):
-                    raise SpecError(
-                        f"model_source must be 'oracle' or 'online', got {value!r}"
-                    )
-        if self.kind == "drift":
-            wl = self.effective_workload()
-            n_windows = int(wl["n_windows"])
-            if n_windows < 1:
-                raise SpecError("n_windows must be positive")
-            for value in self.grid.get("window", ()):
-                if not isinstance(value, int) or not 0 <= value < n_windows:
-                    raise SpecError(
-                        f"window values must be ints in [0, {n_windows}), got {value!r}"
-                    )
-        if self.kind == "topology":
-            from repro.distsys.topology import topology_names
-
-            wl = self.effective_workload()
-            CACHE_POLICIES.get(str(wl["edge_cache"]))
-            CACHE_POLICIES.get(str(wl["mid_cache"]))
-            PREDICTORS.get(str(wl["edge_predictor"]))
-            for value in self.grid.get("topology", (wl["topology"],)):
-                if value not in topology_names():
-                    raise SpecError(
-                        f"unknown topology {value!r}; one of {list(topology_names())}"
-                    )
-            for value in self.grid.get("placement", (wl["placement"],)):
-                if value not in ("none", "client", "edge", "both"):
-                    raise SpecError(
-                        f"placement must be none/client/edge/both, got {value!r}"
-                    )
-            for value in self.grid.get("n_edges", (wl["n_edges"],)):
-                if not isinstance(value, int) or value < 1:
-                    raise SpecError(f"n_edges values must be positive ints, got {value!r}")
-            for value in self.grid.get("edge_cache_size", (wl["edge_cache_size"],)):
-                if not isinstance(value, int) or value < 0:
-                    raise SpecError(
-                        f"edge_cache_size values must be non-negative ints, got {value!r}"
-                    )
-            if wl["edge_strategy"] not in ("skp", "kp"):
-                raise SpecError(
-                    f"edge_strategy must be 'skp' or 'kp', got {wl['edge_strategy']!r}"
-                )
-            if int(wl["edge_prefetch_budget"]) < 0:
-                raise SpecError("edge_prefetch_budget must be non-negative")
-            if float(wl["edge_prefetch_window"]) < 0:
-                raise SpecError("edge_prefetch_window must be non-negative")
-            if int(wl["mid_cache_size"]) < 0:
-                raise SpecError("mid_cache_size must be non-negative")
-            if int(wl["edge_uplink_streams"]) < 1 or int(wl["mid_uplink_streams"]) < 1:
-                raise SpecError("uplink_streams must be positive")
+        if self.kind in FLEET_KINDS:
+            self._validate_fleet_like()
         if self.kind == "optimize":
             from repro.optimize import DRIVERS, OptimizeError, problem_from_spec
 
@@ -863,6 +636,53 @@ class ExperimentSpec:
                     f"unknown metric {metric!r} for kind {self.kind!r}; "
                     f"known: {list(info.metrics)}"
                 )
+
+    def _validate_fleet_like(self) -> None:
+        """The spec-only rules of the fleet-like kinds, then every cell's configs.
+
+        Building a cell's configs (:func:`repro.experiments.engine.build_config`)
+        checks every service knob and component name before any population
+        is drawn; a rejected value is re-raised as :class:`SpecError`.
+        """
+        from repro.experiments.engine import build_config, cell_knobs
+        from repro.workload.dynamics import DYNAMICS_KINDS, MARKOV_DYNAMICS_KINDS
+
+        wl = self.effective_workload()
+        if float(wl.get("v_quantum", 0.0)) < 0:
+            raise SpecError("v_quantum must be non-negative")
+        # The tournament's scenario axis is its dynamics kind.
+        what = "scenario" if self.kind == "tournament" else "drift kind"
+        for drift in self.grid.get("scenario", (wl.get("drift"),)):
+            if drift not in DYNAMICS_KINDS:
+                raise SpecError(f"unknown {what} {drift!r}; one of {list(DYNAMICS_KINDS)}")
+            if wl["source"] == "markov-pop" and drift not in MARKOV_DYNAMICS_KINDS:
+                raise SpecError(
+                    f"markov-pop supports drift kinds {list(MARKOV_DYNAMICS_KINDS)}, "
+                    f"got {drift!r}"
+                )
+        if self.kind == "drift":
+            n_windows = int(wl["n_windows"])
+            if n_windows < 1:
+                raise SpecError("n_windows must be positive")
+            for value in self.grid.get("window", ()):
+                if not isinstance(value, int) or not 0 <= value < n_windows:
+                    raise SpecError(
+                        f"window values must be ints in [0, {n_windows}), got {value!r}"
+                    )
+        for cell in self.cells():
+            knobs = cell_knobs(self, cell)
+            n_clients = knobs["n_clients"]
+            if not isinstance(n_clients, int) or n_clients < 1:
+                raise SpecError(f"n_clients values must be positive ints, got {n_clients!r}")
+            if knobs.get("engine", "event") != "event" and knobs["drift"] != "none":
+                raise SpecError(
+                    "cohort/hybrid engines require drift 'none' (their "
+                    "populations are built per engine from static draws)"
+                )
+            try:
+                build_config(knobs)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from exc
 
     # -- derived views -----------------------------------------------------
     def effective_workload(self) -> dict:

@@ -346,7 +346,7 @@ class CandidateEvaluator:
         non-CRN caller can never be served the wrong draws.
         """
         from repro.distsys.megafleet import sample_client_ids
-        from repro.experiments.engine import _build_population
+        from repro.experiments.engine import _build_dynamic_population
         from repro.experiments.spec import KIND_INFO
 
         problem = self.problem
@@ -360,10 +360,10 @@ class CandidateEvaluator:
         if key not in self._population_memo:
             n = int(problem.n_clients)
             k = min(int(problem.sample) or n, n)
-            self._population_memo[key] = _build_population(
+            self._population_memo[key] = _build_dynamic_population(
                 wl, n, int(problem.iterations), seed,
                 client_ids=sample_client_ids(n, k),
-            )
+            ).population
         return self._population_memo[key]
 
     def _closure_pass1(self, wl: Mapping, seed: int, population):
@@ -377,28 +377,17 @@ class CandidateEvaluator:
         edge_pdf)`` with ``edge_pdf is None`` when nothing missed.
         """
         from repro.analysis.cacheperf import empirical_pdf
-        from repro.distsys.fleet import AccessStats, FleetConfig, run_fleet
-        from repro.experiments.registry import PIPELINES
+        from repro.distsys.fleet import AccessStats, run_fleet
+        from repro.experiments.engine import build_config
 
         key = tuple((name, wl[name]) for name in _CLIENT_TIER_KEYS)
         cached = self._pass1_memo.get(key)
         if cached is not None:
             return cached
 
-        pipeline = dict(PIPELINES.get(str(self.problem.policy)))
-        client_side = str(wl["placement"]) in ("client", "both")
-        config = FleetConfig(
-            cache_capacity=int(wl["cache_capacity"]),
-            strategy=str(pipeline["strategy"]) if client_side else "none",
-            sub_arbitration=pipeline["sub_arbitration"] if client_side else None,
-            skp_variant=str(wl["skp_variant"]),
-            planning_window=str(wl["planning_window"]),
-            concurrency=None,  # origin contention enters analytically later
-            latency=float(wl["latency"]),
-            bandwidth=float(wl["bandwidth"]),
-            miss_penalty=0.0,
-            model_source=str(wl["model_source"]),
-            online_predictor=str(wl["online_predictor"]),
+        # The origin's contention and penalty enter analytically later.
+        config = replace(
+            build_config(wl).client_fleet(), concurrency=None, miss_penalty=0.0
         )
         pre = run_fleet(population, config)
         uplink_accesses = sum(s.pending_waits + s.misses for s in pre.client_stats)
@@ -435,12 +424,13 @@ class CandidateEvaluator:
         from repro.analysis.cacheperf import miss_stream_cascade, service_moments
         from repro.distsys.fleet import run_fleet
         from repro.distsys.megafleet import _contention_wait
+        from repro.experiments.engine import cell_knobs
 
         problem = self.problem
         spec = problem.base_spec(assignment)
         cell = spec.cells()[0]
         seed = spec.cell_seed(cell)
-        wl = spec.cell_workload(cell)  # decision values included (workload keys)
+        wl = cell_knobs(spec, cell)  # decision values included (workload keys)
         n = int(problem.n_clients)
         k = min(int(problem.sample) or n, n)
         population = self._closure_population(wl, seed)

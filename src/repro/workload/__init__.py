@@ -27,6 +27,7 @@ from repro.workload.zipf import zipf_probabilities, zipf_requests
 from repro.workload.trace import Trace, record_markov_trace
 from repro.workload.population import (
     ClientWorkload,
+    LazyPopulation,
     Population,
     derive_seed,
     markov_population,
@@ -62,6 +63,7 @@ __all__ = [
     "Trace",
     "record_markov_trace",
     "ClientWorkload",
+    "LazyPopulation",
     "Population",
     "derive_seed",
     "markov_population",

@@ -35,6 +35,7 @@ from repro.workload.zipf import zipf_probabilities
 
 __all__ = [
     "ClientWorkload",
+    "LazyPopulation",
     "Population",
     "derive_seed",
     "markov_population",
@@ -124,6 +125,28 @@ class Population:
     @property
     def total_requests(self) -> int:
         return sum(len(c.trace) for c in self.clients)
+
+
+@dataclass(frozen=True)
+class LazyPopulation:
+    """A fleet of ``n_clients`` members, built only when named.
+
+    ``build(client_ids)`` returns the :class:`Population` holding exactly
+    those members (the ``client_ids`` parameter of the population
+    builders), so the hybrid engine simulates a sample of a fleet far
+    larger than it could build.  Calling the instance builds members.
+    """
+
+    n_clients: int
+    build: Callable[[list[int]], Population]
+
+    def __call__(self, client_ids) -> Population:
+        return self.build(client_ids)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The shared catalog's item sizes (read off one built member)."""
+        return self.build([0]).sizes
 
 
 def _catalog_sizes(n_items: int, size_range: tuple[float, float], seed: int) -> np.ndarray:

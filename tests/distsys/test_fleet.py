@@ -1,8 +1,14 @@
 """Tests for the fleet simulator: shared uplink, fleet clients, aggregation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cache import LRUCache
 from repro.distsys import (
     Channel,
@@ -246,3 +252,25 @@ class TestAggregation:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             aggregate_access_stats([])
+
+
+def test_oracle_engines_never_import_the_registry():
+    """An oracle fleet resolves no component names, so neither engine may
+    pay for importing the experiment registry (tens of ms per process)."""
+    code = (
+        "import sys\n"
+        "from repro.distsys.fleet import FleetConfig, run_fleet\n"
+        "from repro.distsys.megafleet import run_cohort_fleet\n"
+        "from repro.workload.population import zipf_mixture_population\n"
+        "pop = zipf_mixture_population(3, 20, 10, seed=1)\n"
+        "run_fleet(pop, FleetConfig(concurrency=2))\n"
+        "run_cohort_fleet(pop, FleetConfig(concurrency=None))\n"
+        "assert 'repro.experiments.registry' not in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

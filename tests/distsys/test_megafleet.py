@@ -38,6 +38,7 @@ from repro.distsys.megafleet import (
     sample_client_ids,
 )
 from repro.workload.population import (
+    LazyPopulation,
     markov_population,
     subset_population,
     zipf_mixture_population,
@@ -241,6 +242,35 @@ class TestDispatch:
         assert isinstance(res, HybridFleetResult)
         assert res.sample_size == 8
         assert res.n_clients == 30
+
+    def test_run_fleet_hybrid_builds_only_the_sample(self):
+        pop = _zipf_pop(n_clients=30, requests=20)
+        built = []
+
+        def build(ids):
+            built.append(list(ids))
+            return subset_population(pop, ids)
+
+        config = FleetConfig(cache_capacity=4, concurrency=8, engine="hybrid",
+                             hybrid_sample=8)
+        lazy = run_fleet(LazyPopulation(30, build), config)
+        assert built == [sample_client_ids(30, 8)]
+        eager = run_fleet(pop, config)
+        assert lazy.n_clients == eager.n_clients == 30
+        assert lazy.mean_access_time == eager.mean_access_time
+        assert lazy.makespan == eager.makespan
+
+    @pytest.mark.parametrize("engine", ["event", "cohort", "hybrid"])
+    @pytest.mark.parametrize(
+        "bad", [{"concurrency": 0}, {"concurrency": -2}, {"discipline": "lifo"}]
+    )
+    def test_bad_uplink_knobs_rejected_on_every_engine(self, engine, bad):
+        # None is the unbounded uplink; 0 slots or an unknown discipline is
+        # an error the config raises, so no engine can run it, ignore it
+        # or crash on it mid-run.
+        pop = _zipf_pop(n_clients=4, requests=10)
+        with pytest.raises(ValueError, match="concurrency|discipline"):
+            run_fleet(pop, FleetConfig(engine=engine, **bad))
 
 
 # ---------------------------------------------------------------------------

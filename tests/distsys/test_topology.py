@@ -6,11 +6,14 @@ paths — conservation invariants between tiers, shared-cache warming across
 clients, speculation placement and budgets, and determinism.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.distsys import (
     CacheNetwork,
+    FleetConfig,
     TopologyConfig,
     run_topology,
     topology_names,
@@ -55,14 +58,13 @@ class TestConfigValidation:
 
 
 class TestMissPropagation:
+    FLEET = FleetConfig(cache_capacity=6, concurrency=2, miss_penalty=3.0)
     CONFIG = dict(
         topology="tree",
         n_edges=2,
-        cache_capacity=6,
+        fleet=FLEET,
         placement="client",
         edge_cache_size=12,
-        concurrency=2,
-        miss_penalty=3.0,
     )
 
     def test_tier_conservation(self):
@@ -115,10 +117,10 @@ class TestMissPropagation:
         config = TopologyConfig(
             topology="tree",
             n_edges=1,
-            cache_capacity=0,  # clients forward every request
+            # clients forward every request
+            fleet=FleetConfig(cache_capacity=0, concurrency=None),
             placement="none",
             edge_cache_size=10,  # edge holds the whole catalog
-            concurrency=None,
         )
         result = run_topology(population, config)
         edge = result.tier("edge")
@@ -130,13 +132,14 @@ class TestMissPropagation:
     def test_edge_hit_shortens_access_time(self):
         """A warmed edge must serve faster than the origin behind a penalty."""
         population = small_population(n_clients=6, requests=80)
+        fleet = replace(self.FLEET, miss_penalty=15.0)
         slow = run_topology(
             population,
-            TopologyConfig(**dict(self.CONFIG, edge_cache_size=0, miss_penalty=15.0)),
+            TopologyConfig(**dict(self.CONFIG, edge_cache_size=0, fleet=fleet)),
         )
         cached = run_topology(
             population,
-            TopologyConfig(**dict(self.CONFIG, edge_cache_size=30, miss_penalty=15.0)),
+            TopologyConfig(**dict(self.CONFIG, edge_cache_size=30, fleet=fleet)),
         )
         assert cached.mean_access_time < slow.mean_access_time
 
@@ -148,11 +151,10 @@ class TestSpeculationPlacement:
             TopologyConfig(
                 topology="tree",
                 n_edges=2,
-                cache_capacity=6,
+                fleet=FleetConfig(cache_capacity=6, concurrency=2),
                 placement=placement,
                 edge_cache_size=12,
                 edge_prefetch_budget=budget,
-                concurrency=2,
             ),
         )
 

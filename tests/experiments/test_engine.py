@@ -201,6 +201,27 @@ class TestKinds:
         assert star.metrics["che_edge_hit_rate"] == 0.0
         assert 0.0 <= star.metrics["hit_rate"] <= 1.0
 
+    @pytest.mark.parametrize("placement", ["none", "edge", "client"])
+    def test_topology_star_engines_agree_on_every_placement(self, placement):
+        # The cohort engine runs a star as the flat fleet of its client tier:
+        # on an unbounded uplink that is the event hierarchy bit for bit.
+        # Placement gates the clients' planner, never their cache's DS
+        # arbitration, so a speculation-free client still evicts by P·r+DS.
+        rows = {
+            engine: run(ExperimentSpec(
+                name="engine-star-engines", kind="topology",
+                workload={"n": 30, "top_k": 10, "overlap": 0.6, "stagger": 20.0,
+                          "topology": "star", "placement": placement,
+                          "concurrency": 0, "engine": engine},
+                grid={"policy": ("skp+pr+ds",), "n_clients": (4,)},
+                iterations=40, seed=3,
+            )).cells[0].metrics
+            for engine in ("event", "cohort")
+        }
+        for name in ("mean_access_time", "p95_access_time", "hit_rate",
+                     "prefetch_load_frac", "fairness"):
+            assert rows["cohort"][name] == rows["event"][name]
+
     def test_predictor_eval(self):
         spec = ExperimentSpec(
             name="engine-pe",

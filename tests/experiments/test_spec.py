@@ -334,6 +334,51 @@ class TestTopologyKind:
         seeds = {spec.cell_seed(cell) for cell in spec.cells()}
         assert len(seeds) == 2
 
+
+class TestServiceKnobsFailAtValidation:
+    """Every cell's configs are built at validation: a bad service knob
+    raises SpecError when the spec is constructed, not inside a run."""
+
+    def test_negative_concurrency(self):
+        # Only 0 means unbounded; a negative slot count is an error.
+        with pytest.raises(SpecError, match="concurrency"):
+            fleet_spec(workload={"concurrency": -2})
+        with pytest.raises(SpecError, match="concurrency"):
+            fleet_spec(
+                grid={"policy": ("skp+pr",), "n_clients": (2,), "concurrency": (4, -2)}
+            )
+
+    def test_negative_edge_delivery_concurrency(self):
+        with pytest.raises(SpecError, match="edge_delivery_concurrency"):
+            topology_spec(workload={"edge_delivery_concurrency": -5})
+
+    def test_negative_cache_capacity(self):
+        with pytest.raises(SpecError, match="cache_capacity"):
+            fleet_spec(workload={"cache_capacity": -1})
+        with pytest.raises(SpecError, match="cache_capacity"):
+            topology_spec(workload={"cache_capacity": -1})
+
+    def test_cohort_engine_rejects_server_cache(self):
+        with pytest.raises(SpecError, match="server cache"):
+            fleet_spec(workload={"engine": "cohort", "server_cache_size": 10})
+        with pytest.raises(SpecError, match="server cache"):
+            topology_spec(
+                workload={"topology": "star", "engine": "cohort", "server_cache_size": 10}
+            )
+
+    def test_unknown_skp_variant(self):
+        with pytest.raises(SpecError, match="variant"):
+            fleet_spec(workload={"skp_variant": "bogus"})
+
+    def test_zero_concurrency_is_unbounded(self):
+        from repro.experiments.engine import build_config, cell_knobs
+
+        spec = topology_spec(workload={"concurrency": 0, "edge_delivery_concurrency": 0})
+        config = build_config(cell_knobs(spec, spec.cells()[0]))
+        assert config.fleet.concurrency is None
+        assert config.edge_delivery_concurrency is None
+
+
 class TestOverrides:
     def test_with_overrides(self):
         spec = tiny_spec()

@@ -422,8 +422,7 @@ def test_golden_topology_tree_bit_exact():
             n_edges=2,
             edge_cache_size=12,
             placement="both",
-            concurrency=2,
-            cache_capacity=6,
+            fleet=FleetConfig(concurrency=2, cache_capacity=6),
         ),
         seed=3,
     )
@@ -446,9 +445,7 @@ def test_golden_topology_two_tier_bit_exact():
             edge_cache_size=10,
             mid_cache_size=20,
             placement="both",
-            concurrency=2,
-            cache_capacity=6,
-            miss_penalty=1.5,
+            fleet=FleetConfig(concurrency=2, cache_capacity=6, miss_penalty=1.5),
         ),
         seed=5,
     )
@@ -469,12 +466,14 @@ def test_golden_topology_tree_fair_effective_bit_exact():
             n_edges=3,
             edge_cache_size=10,
             placement="both",
-            concurrency=2,
-            discipline="fair",
-            cache_capacity=6,
-            sub_arbitration="ds",
-            planning_window="effective",
-            miss_penalty=2.0,
+            fleet=FleetConfig(
+                concurrency=2,
+                discipline="fair",
+                cache_capacity=6,
+                sub_arbitration="ds",
+                planning_window="effective",
+                miss_penalty=2.0,
+            ),
         ),
         seed=4,
     )
@@ -499,8 +498,7 @@ def test_golden_topology_two_tier_markov_bit_exact():
             edge_cache_size=8,
             mid_cache_size=16,
             placement="both",
-            concurrency=3,
-            cache_capacity=5,
+            fleet=FleetConfig(concurrency=3, cache_capacity=5),
         ),
         seed=6,
     )
@@ -575,9 +573,7 @@ def test_golden_topology_zero_drift_oracle_bit_exact():
             n_edges=2,
             edge_cache_size=12,
             placement="both",
-            concurrency=2,
-            cache_capacity=6,
-            model_source="oracle",
+            fleet=FleetConfig(concurrency=2, cache_capacity=6, model_source="oracle"),
         ),
         seed=3,
     )
@@ -626,7 +622,7 @@ def test_passthrough_topology_matches_fleet(topology, discipline, window):
             n_edges=2,
             placement="client",  # client-side speculation only, like the fleet
             edge_cache_size=0,  # pass-through proxies
-            **shared,
+            fleet=FleetConfig(**shared),
         ),
         server_cache=LRUCache(10),
     )

@@ -191,6 +191,42 @@ class TestExperimentCLI:
         assert excinfo.value.code == 2
         assert "skp+pr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fleet", "topology"])
+    @pytest.mark.parametrize(
+        "bad,needle",
+        [
+            (["--policy", "warp+drive"], "skp+pr"),
+            (["--server-cache", "hyperlru"], "lru"),
+            (["--online-predictor", "psychic"], "frequency:ewma"),
+            (["--source", "uniform-pop"], "markov-pop"),
+            (["--source", "markov-pop", "--drift", "flash"], "markov"),
+        ],
+    )
+    def test_bad_knob_is_a_one_line_usage_error(self, command, bad, needle, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--clients", "2", "--requests", "10", *bad])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if ": error:" in line]
+        assert len(errors) == 1 and needle in errors[0]
+
+    @pytest.mark.parametrize("engine", ["cohort", "hybrid"])
+    def test_fleet_engine_rejects_knobs_before_running(self, engine, capsys):
+        # The cohort engine cannot share a server cache, and a drifting
+        # population cannot be sampled: both fail before any client runs.
+        bad = (
+            ["--server-cache-size", "10"]
+            if engine == "cohort"
+            else ["--drift", "regime"]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--engine", engine, "--clients", "2", "--requests", "10", *bad])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if ": error:" in line]) == 1
+
     def test_experiment_list(self, capsys):
         assert main(["experiment", "list"]) == 0
         out = capsys.readouterr().out
