@@ -466,12 +466,12 @@ def run_fleet(
     if config.engine == "hybrid":
         from repro.distsys.megafleet import run_hybrid_fleet
 
-        if isinstance(population, Population):
-            population = LazyPopulation(
-                population.n_clients, partial(subset_population, population)
-            )
+        if isinstance(population, LazyPopulation):
+            build = population.build
+        else:
+            build = partial(subset_population, population)
         return run_hybrid_fleet(
-            population,
+            build,
             population.n_clients,
             config,
             server_cache_size=getattr(server_cache, "capacity", 0),

@@ -134,14 +134,11 @@ class LazyPopulation:
     ``build(client_ids)`` returns the :class:`Population` holding exactly
     those members (the ``client_ids`` parameter of the population
     builders), so the hybrid engine simulates a sample of a fleet far
-    larger than it could build.  Calling the instance builds members.
+    larger than it could build.
     """
 
     n_clients: int
     build: Callable[[list[int]], Population]
-
-    def __call__(self, client_ids) -> Population:
-        return self.build(client_ids)
 
     @property
     def sizes(self) -> np.ndarray:
