@@ -8,7 +8,8 @@ The planner implements the paper's full pipeline (Figure 6):
 
 1. restrict the candidate set to non-cached items;
 2. maximise the empty-cache improvement ``g*`` over that set (SKP, or the
-   KP baseline, or nothing);
+   KP baseline, or nothing) — skipped when step 3 must reject every
+   candidate, because a full cache's cheapest ``P_i r_i`` beats them all;
 3. run Pr-arbitration with optional LFU/DS sub-arbitration against the
    cache content;
 4. report the resulting plan with its equation-(9) improvement estimate.
@@ -47,6 +48,7 @@ __all__ = ["ONLINE_NODE_BUDGET", "PlanOutcome", "Prefetcher"]
 ONLINE_NODE_BUDGET = 20_000
 
 _STRATEGIES = ("skp", "kp", "none")
+_NO_PLAN = PrefetchPlan(())
 _SUB_ARBITRATIONS = (None, "lfu", "ds")
 
 
@@ -86,6 +88,11 @@ class PlanOutcome:
     it pays exactly the former eager cost.  The value is identical either
     way — the same :func:`access_improvement_with_cache` call over the same
     plan, cache and eviction list.
+
+    ``candidate_plan`` is the pre-arbitration SKP/KP solution ``F^``.  It is
+    empty when the planner skipped the solve because Figure 6 could admit
+    nothing into a full cache (see :meth:`Prefetcher.plan`): ``F^`` was
+    never computed.
     """
 
     __slots__ = ("prefetch", "eject", "candidate_plan", "_gain", "_lazy_gain")
@@ -99,7 +106,7 @@ class PlanOutcome:
     ) -> None:
         self.prefetch = prefetch
         self.eject = eject
-        self.candidate_plan = candidate_plan  # the pre-arbitration F^
+        self.candidate_plan = candidate_plan
         if callable(expected_improvement):
             self._gain: float | None = None
             self._lazy_gain = expected_improvement
@@ -120,6 +127,47 @@ class PlanOutcome:
             f"PlanOutcome(prefetch={self.prefetch.items}, eject={self.eject}, "
             f"expected_improvement={self.expected_improvement:.6g})"
         )
+
+
+def _blocked(cache: Sequence[int], pinned: Sequence[int]) -> set[int]:
+    """The items no plan may select: the cached and the pinned ones."""
+    # No int() round-trip: ranked items are Python ints, and integer-like
+    # cache entries hash equal to them.
+    blocked = set(cache)
+    blocked.update(pinned)
+    return blocked
+
+
+def _below_floor(
+    problem: PrefetchProblem,
+    cache: tuple[int, ...],
+    blocked: set[int],
+    ranked: RankedRow | None,
+) -> bool:
+    """Would Figure 6 admit nothing into the full ``cache``, whatever ``F^`` is?
+
+    With no free slot, arbitration takes candidates in descending
+    ``P_f r_f`` and stops at the first one strictly below the cheapest
+    cached ``P_d r_d`` (ties go to the prefetch).  ``F^`` holds only
+    unblocked positive-``P`` items, so when every one of those is below
+    that floor — or nothing is cached to evict — the admitted plan is empty
+    whatever the solver returns.  The sub-key orders tied victims but never
+    moves the minimum.  The floats are the ones arbitration reads: the
+    ranked row's ``P_i r_i`` table (0.0 off its support), else
+    ``problem.profits()``.
+    """
+    if not cache:
+        return True
+    if ranked is not None and ranked.pr is not None:
+        floor = min(map(ranked.profit_lookup(), cache))
+        reach = [i for i, pr in zip(ranked.items, ranked.pr) if pr >= floor]
+    else:
+        profits = problem.profits()
+        floor = min(map(profits.item, cache))
+        # Reaching a positive floor takes P_i > 0; every positive-P item
+        # reaches a zero floor.
+        reach = (profits >= floor if floor > 0.0 else problem.probabilities).nonzero()[0].tolist()
+    return blocked.issuperset(reach)
 
 
 @dataclass
@@ -182,23 +230,18 @@ class Prefetcher:
     def _view(
         self,
         problem: PrefetchProblem,
-        cache: Sequence[int],
-        pinned: Sequence[int],
+        blocked: set[int],
         ranked: RankedRow | None,
     ) -> RankedRow:
-        """The ranked row minus ``cache`` and ``pinned``: the candidate set."""
+        """The ranked row minus ``blocked``: the candidate set."""
         if ranked is None:
             ranked = rank_row(problem)
-        # No int() round-trip: ranked items are Python ints, and
-        # integer-like cache entries hash equal to them.
-        blocked = set(cache)
-        blocked.update(pinned)
         return ranked.view(problem, blocked)
 
     def _solve(self, view: RankedRow) -> PrefetchPlan:
         """Maximise g* over the view's items (step 1 of Figure 6)."""
         if not view.items:
-            return PrefetchPlan(())
+            return _NO_PLAN
         if self.strategy == "skp":
             return solve_skp(view, variant=self.variant, node_budget=self.node_budget).plan
         sub = PrefetchProblem.from_validated(
@@ -229,8 +272,8 @@ class Prefetcher:
         instead of on every call.
         """
         if self.strategy == "none":
-            return PrefetchPlan(())
-        return self._solve(self._view(problem, cache, pinned, ranked))
+            return _NO_PLAN
+        return self._solve(self._view(problem, _blocked(cache, pinned), ranked))
 
     # ------------------------------------------------------------------
     def plan(
@@ -251,20 +294,29 @@ class Prefetcher:
         the candidate set and the victim pool — the continuous simulator
         uses it for transfers still in flight from the previous period.
         ``ranked`` is as for :meth:`candidate_plan`.
+
+        With no free slot, a plan whose unblocked items all fall strictly
+        below the cheapest cached ``P_i r_i`` (or whose cache is empty) is
+        decided without solving: Figure 6 would admit none of them, so the
+        outcome is empty, and so is its ``candidate_plan`` — ``F^`` was
+        never computed.
         """
         cache = tuple(cache)
         capacity = len(cache) if cache_capacity is None else int(cache_capacity)
         if capacity < len(cache):
             raise ValueError(f"cache_capacity {capacity} below current occupancy {len(cache)}")
-        # Built before the empty-candidate shortcut so a misconfigured
+        # Built before the shortcuts so a misconfigured
         # sub_arbitration/frequencies pair raises on every call, not only
         # on the data-dependent calls whose candidate plan is non-empty.
         sub_key = self._sub_key(problem, frequencies)
-        if self.strategy == "none":
-            candidate = PrefetchPlan(())
-        else:
-            view = self._view(problem, cache, pinned, ranked)
-            candidate = self._solve(view)
+        candidate = _NO_PLAN
+        if self.strategy != "none":
+            blocked = _blocked(cache, pinned)
+            # A full cache whose cheapest P*r beats every candidate admits
+            # nothing (Figure 6): skip the solve and the arbitration.
+            if capacity > len(cache) or not _below_floor(problem, cache, blocked, ranked):
+                view = self._view(problem, blocked, ranked)
+                candidate = self._solve(view)
         if not candidate.items:
             # Nothing to arbitrate: the admitted plan is empty, no victim is
             # ejected, and equation (9) evaluates to exactly 0.0 (zero
