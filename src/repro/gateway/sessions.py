@@ -250,10 +250,10 @@ class SessionStore:
     """TTL + LRU-capped map of live :class:`GatewaySession` instances.
 
     ``clock`` is the wall-clock source (``time.monotonic`` in the service;
-    tests inject a fake) — it drives only expiry, never planning.  Eviction
-    is incremental: every :meth:`get_or_create` first sweeps expired
-    sessions, then enforces the LRU cap, so the store needs no background
-    reaper task.
+    tests inject a fake) — it drives only expiry, never planning, and must
+    never go back.  Eviction is incremental: every :meth:`get_or_create`
+    first sweeps expired sessions, then enforces the LRU cap, so the store
+    needs no background reaper task.
     """
 
     def __init__(
@@ -286,16 +286,23 @@ class SessionStore:
         return PREDICTORS.create(self.config.predictor, int(self.retrievals.shape[0]))
 
     def sweep(self, now: float | None = None) -> int:
-        """Drop sessions idle past the TTL; returns how many were dropped."""
+        """Drop sessions idle past the TTL; returns how many were dropped.
+
+        Every touch moves a session to the end of ``_sessions`` and the
+        clock never goes back, so the sessions are in last-seen order: the
+        sweep reads from the front and stops at the first live one.
+        """
         now = self._clock() if now is None else now
-        expired = [
-            sid
-            for sid, seen in self._last_seen.items()
-            if now - seen > self.config.ttl
-        ]
+        ttl = self.config.ttl
+        last_seen = self._last_seen
+        expired = []
+        for sid in self._sessions:
+            if now - last_seen[sid] <= ttl:
+                break
+            expired.append(sid)
         for sid in expired:
             del self._sessions[sid]
-            del self._last_seen[sid]
+            del last_seen[sid]
         self.counters.evicted_ttl += len(expired)
         return len(expired)
 

@@ -19,6 +19,21 @@ def _store(config=None, *, now=None):
     )
 
 
+class _CountingDict(dict):
+    """A dict that counts the values read from it, by key or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        for entry in super().items():
+            self.reads += 1
+            yield entry
+
+
 class TestSessionConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +167,22 @@ class TestSessionStore:
         assert "b" not in store
         assert store.ids() == ("a", "c")
         assert store.counters.evicted_lru == 1
+
+    def test_lookup_reads_the_expired_sessions_and_one_live(self):
+        # 10,000 live sessions (the default max_sessions) touched 1 ms
+        # apart; the three oldest are idle past the TTL at the lookup.
+        store, now = _store(SessionConfig(ttl=10.0))
+        row = np.full(20, 0.05)
+        for k in range(10_000):
+            now[0] = k * 0.001
+            store.get_or_create(f"s{k}", provider=lambda i: row)
+        now[0] = 10.0025
+        store._last_seen = last_seen = _CountingDict(store._last_seen)
+        store.get_or_create("s5000")
+        assert last_seen.reads == 4
+        assert store.counters.evicted_ttl == 3
+        assert len(store) == 9_997
+        assert store.ids()[:2] == ("s3", "s4") and store.ids()[-1] == "s5000"
 
     def test_drop_and_get(self):
         store, _ = _store()
