@@ -40,13 +40,14 @@ from repro.experiments.registry import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.workload.dynamics import DynamicsConfig, DynamicsInfo
-from repro.workload.population import LazyPopulation, Population
+from repro.workload.population import LazyPopulation, Population, check_zipf_mixture
 
 __all__ = [
     "FleetBuild",
     "build_config",
     "build_fleet",
     "cell_knobs",
+    "check_population",
     "default_workers",
     "run",
     "run_cell",
@@ -276,6 +277,52 @@ def build_config(wl: Mapping):
     )
 
 
+def _dynamics(wl: Mapping) -> DynamicsConfig:
+    """The :class:`~repro.workload.dynamics.DynamicsConfig` a resolved
+    workload describes; building it checks every dynamics knob."""
+    return DynamicsConfig(
+        kind=str(wl["drift"]),
+        n_regimes=int(wl["drift_regimes"]),
+        switch_every=int(wl["drift_switch_every"]),
+        drift_to=float(wl["drift_to"]),
+        flash_start=float(wl["flash_start"]),
+        flash_duration=float(wl["flash_duration"]),
+        flash_items=int(wl["flash_items"]),
+        flash_boost=float(wl["flash_boost"]),
+        diurnal_amplitude=float(wl["diurnal_amplitude"]),
+        diurnal_period=float(wl["diurnal_period"]),
+    )
+
+
+def _zipf_knobs(wl: Mapping) -> dict:
+    """The Zipf-mixture knobs of a resolved ``zipf-mix`` workload."""
+    return dict(
+        exponent_range=(float(wl["exponent_min"]), float(wl["exponent_max"])),
+        overlap=float(wl["overlap"]),
+        top_k=int(wl["top_k"]),
+        # The drift and tournament kinds predate the quantisation knob;
+        # .get keeps it optional there.
+        v_quantum=float(wl.get("v_quantum", 0.0)),
+    )
+
+
+def check_population(wl: Mapping, requests: int) -> None:
+    """Reject a resolved workload's population or dynamics knob, drawing nothing.
+
+    Builds the :class:`~repro.workload.dynamics.DynamicsConfig` and runs
+    the checks the Zipf-mixture builders run
+    (:func:`~repro.workload.population.check_zipf_mixture`), raising their
+    :class:`ValueError`; spec validation re-raises it as
+    :class:`~repro.experiments.spec.SpecError`.
+    """
+    _dynamics(wl)
+    if wl["source"] == "zipf-mix":
+        check_zipf_mixture(
+            int(wl["n_clients"]), int(wl["n"]), requests,
+            stagger=float(wl["stagger"]), **_zipf_knobs(wl),
+        )
+
+
 def _build_dynamic_population(
     wl: Mapping, n_clients: int, requests: int, seed: int, client_ids=None
 ):
@@ -292,33 +339,12 @@ def _build_dynamic_population(
         size_range=(float(wl["size_min"]), float(wl["size_max"])),
         stagger=float(wl["stagger"]),
         seed=seed,
-        dynamics=DynamicsConfig(
-            kind=str(wl["drift"]),
-            n_regimes=int(wl["drift_regimes"]),
-            switch_every=int(wl["drift_switch_every"]),
-            drift_to=float(wl["drift_to"]),
-            flash_start=float(wl["flash_start"]),
-            flash_duration=float(wl["flash_duration"]),
-            flash_items=int(wl["flash_items"]),
-            flash_boost=float(wl["flash_boost"]),
-            diurnal_amplitude=float(wl["diurnal_amplitude"]),
-            diurnal_period=float(wl["diurnal_period"]),
-        ),
+        dynamics=_dynamics(wl),
         client_ids=client_ids,
     )
     if wl["source"] == "zipf-mix":
         return WORKLOADS.create(
-            "zipf-mix:dynamic",
-            n_clients,
-            int(wl["n"]),
-            requests,
-            exponent_range=(float(wl["exponent_min"]), float(wl["exponent_max"])),
-            overlap=float(wl["overlap"]),
-            top_k=int(wl["top_k"]),
-            # The drift and tournament kinds predate the quantisation knob;
-            # .get keeps it optional there.
-            v_quantum=float(wl.get("v_quantum", 0.0)),
-            **common,
+            "zipf-mix:dynamic", n_clients, int(wl["n"]), requests, **_zipf_knobs(wl), **common
         )
     return WORKLOADS.create(  # markov-pop
         "markov-pop:dynamic",

@@ -641,10 +641,12 @@ class ExperimentSpec:
         """The spec-only rules of the fleet-like kinds, then every cell's configs.
 
         Building a cell's configs (:func:`repro.experiments.engine.build_config`)
-        checks every service knob and component name before any population
-        is drawn; a rejected value is re-raised as :class:`SpecError`.
+        checks every service knob and component name, and
+        :func:`repro.experiments.engine.check_population` every population
+        and dynamics knob, before any population is drawn; a rejected value
+        is re-raised as :class:`SpecError`.
         """
-        from repro.experiments.engine import build_config, cell_knobs
+        from repro.experiments.engine import build_config, cell_knobs, check_population
         from repro.workload.dynamics import DYNAMICS_KINDS, MARKOV_DYNAMICS_KINDS
 
         wl = self.effective_workload()
@@ -681,6 +683,7 @@ class ExperimentSpec:
                 )
             try:
                 build_config(knobs)
+                check_population(knobs, int(self.iterations))
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
 

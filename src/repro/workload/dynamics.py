@@ -51,6 +51,7 @@ from repro.workload.population import (
     Population,
     _catalog_sizes,
     _check_common,
+    check_zipf_mixture,
     markov_population,
     zipf_mixture_population,
 )
@@ -287,14 +288,11 @@ def dynamic_zipf_population(
         )
         return DynamicPopulation(population=population, info=info)
 
-    _check_common(n_clients, n_items, requests, stagger)
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must be in [0, 1]")
-    if not (0 < exponent_range[0] <= exponent_range[1]):
-        raise ValueError(f"exponent_range must satisfy 0 < lo <= hi, got {exponent_range}")
+    check_zipf_mixture(
+        n_clients, n_items, requests, exponent_range=exponent_range, overlap=overlap,
+        top_k=top_k, stagger=stagger,
+    )
     top_k = int(top_k)
-    if top_k < 1:
-        raise ValueError("top_k must be positive")
 
     sizes = _catalog_sizes(n_items, size_range, seed)
     k_shared = int(round(float(overlap) * n_items))

@@ -37,6 +37,7 @@ __all__ = [
     "ClientWorkload",
     "LazyPopulation",
     "Population",
+    "check_zipf_mixture",
     "derive_seed",
     "markov_population",
     "subset_population",
@@ -165,6 +166,34 @@ def _check_common(n_clients: int, n_items: int, requests: int, stagger: float) -
         raise ValueError("stagger must be non-negative")
 
 
+def check_zipf_mixture(
+    n_clients: int,
+    n_items: int,
+    requests: int,
+    *,
+    exponent_range: tuple[float, float],
+    overlap: float,
+    top_k: int,
+    stagger: float,
+    v_quantum: float = 0.0,
+) -> None:
+    """Reject a Zipf-mixture knob with :class:`ValueError`, drawing nothing.
+
+    The checks of :func:`zipf_mixture_population` and of its drifting
+    variant (:func:`repro.workload.dynamics.dynamic_zipf_population`);
+    experiment specs run them at validation time.
+    """
+    _check_common(n_clients, n_items, requests, stagger)
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError("overlap must be in [0, 1]")
+    if not (0 < exponent_range[0] <= exponent_range[1]):
+        raise ValueError(f"exponent_range must satisfy 0 < lo <= hi, got {exponent_range}")
+    if v_quantum < 0 or not np.isfinite(v_quantum):
+        raise ValueError("v_quantum must be finite and non-negative")
+    if int(top_k) < 1:
+        raise ValueError("top_k must be positive")
+
+
 def _resolve_client_ids(n_clients: int, client_ids) -> list[int]:
     """Which client ids to materialise: all of them, or a validated subset.
 
@@ -231,16 +260,11 @@ def zipf_mixture_population(
     engine's way of sampling K real clients out of a million modeled ones
     without constructing the million.
     """
-    _check_common(n_clients, n_items, requests, stagger)
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError("overlap must be in [0, 1]")
-    if not (0 < exponent_range[0] <= exponent_range[1]):
-        raise ValueError(f"exponent_range must satisfy 0 < lo <= hi, got {exponent_range}")
-    if v_quantum < 0 or not np.isfinite(v_quantum):
-        raise ValueError("v_quantum must be finite and non-negative")
+    check_zipf_mixture(
+        n_clients, n_items, requests, exponent_range=exponent_range, overlap=overlap,
+        top_k=top_k, stagger=stagger, v_quantum=v_quantum,
+    )
     top_k = int(top_k)
-    if top_k < 1:
-        raise ValueError("top_k must be positive")
 
     sizes = _catalog_sizes(n_items, size_range, seed)
     shared_perm = np.random.default_rng(derive_seed(seed, role="ranking")).permutation(n_items)

@@ -379,6 +379,42 @@ class TestServiceKnobsFailAtValidation:
         assert config.edge_delivery_concurrency is None
 
 
+class TestPopulationKnobsFailAtValidation:
+    """Every cell's population and dynamics knobs are checked at validation:
+    a bad one raises SpecError when the spec is constructed, not inside a
+    run, with the builders' own message."""
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            ({"top_k": 0}, "top_k must be positive"),
+            ({"overlap": 2.0}, r"overlap must be in \[0, 1\]"),
+            ({"drift": "regime", "drift_regimes": 0}, "n_regimes must be positive"),
+            ({"exponent_min": 1.5, "exponent_max": 1.0}, "exponent_range"),
+            ({"stagger": -1.0}, "stagger must be non-negative"),
+            ({"drift": "flash", "flash_boost": 1.0}, r"flash_boost must be in \[0, 1\)"),
+        ],
+    )
+    def test_bad_knob(self, workload, message):
+        with pytest.raises(SpecError, match=message):
+            fleet_spec(workload=workload)
+
+    def test_bad_knob_on_a_grid_axis(self):
+        with pytest.raises(SpecError, match=r"overlap must be in \[0, 1\]"):
+            fleet_spec(grid={"policy": ("skp+pr",), "n_clients": (2,), "overlap": (0.5, 1.5)})
+
+    def test_hybrid_engine_checks_before_sampling(self):
+        # The hybrid engine builds only its sampled members, inside the run.
+        with pytest.raises(SpecError, match=r"overlap must be in \[0, 1\]"):
+            fleet_spec(workload={"engine": "hybrid", "concurrency": 0, "overlap": -0.5})
+
+    def test_tournament_scenario_axis_builds_its_dynamics(self):
+        data = preset("tournament-smoke").to_dict()
+        data["workload"]["drift_regimes"] = 0
+        with pytest.raises(SpecError, match="n_regimes must be positive"):
+            ExperimentSpec.from_dict(data)
+
+
 class TestOverrides:
     def test_with_overrides(self):
         spec = tiny_spec()
