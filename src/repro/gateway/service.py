@@ -15,11 +15,13 @@ proxy) can call between accesses:
 * ``GET /healthz`` — liveness plus basic occupancy.
 
 Everything is stdlib ``asyncio`` + ``json`` over a hand-rolled HTTP/1.1
-reader (request line, headers, ``Content-Length`` body, keep-alive) — the
-gateway adds **zero** runtime dependencies beyond the numpy the library
-already requires.  Route dispatch lives in :meth:`GatewayService.handle`,
-a plain function of ``(method, path, body)``, so the protocol layer is unit
-testable without sockets; the asyncio layer only frames bytes around it.
+framing layer (request line, headers, ``Content-Length`` body, keep-alive,
+pipelining) — the gateway adds **zero** runtime dependencies beyond the
+numpy the library already requires.  Route dispatch lives in
+:meth:`GatewayService.handle`, a plain function of ``(method, path, body)``,
+so the routes are unit testable without sockets; the asyncio layer, one
+:class:`asyncio.Protocol` per connection, only frames bytes around it and
+answers every complete request of a read with one write.
 
 Decision latency is measured around the full decision (session lookup,
 planning, tier annotation) and recorded into a seeded reservoir
@@ -46,6 +48,8 @@ __all__ = ["GatewayConfig", "GatewayService", "serve"]
 
 #: Reject report bodies larger than this (a decision request is ~100 bytes).
 _MAX_BODY = 1 << 20
+#: Drop a connection whose request head (request line + headers) is larger.
+_MAX_HEAD = 1 << 16
 
 _JSON = "application/json"
 _TEXT = "text/plain; version=0.0.4"  # Prometheus exposition content type
@@ -258,38 +262,10 @@ class GatewayService:
         raise _HTTPError(404, f"no route for {path!r}")
 
     # -- asyncio HTTP layer ----------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await _read_request(reader)
-                if request is None:
-                    break
-                method, path, version, headers, req_body = request
-                status, ctype, resp_body = self.handle(method, path, req_body)
-                keep_alive = _keep_alive(version, headers)
-                writer.write(_response_bytes(status, ctype, resp_body, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            _BadRequest,
-        ):
-            pass  # peer went away or sent garbage; drop the connection
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
         """Bind and start serving; returns the running asyncio server."""
-        return await asyncio.start_server(self._on_connection, host, port)
+        loop = asyncio.get_running_loop()
+        return await loop.create_server(lambda: _HTTPProtocol(self), host, port)
 
 
 class _BadRequest(Exception):
@@ -330,38 +306,158 @@ def _response_bytes(status: int, ctype: str, body: bytes, keep_alive: bool) -> b
     return head.encode("latin-1") + body
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, str, dict[str, str], bytes] | None:
-    """Read one HTTP/1.1 request; None on a cleanly closed connection."""
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise _BadRequest(f"malformed request line: {line!r}")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n"):
-            break
-        if not header:
+class _HTTPProtocol(asyncio.Protocol):
+    """One client connection: pipelined HTTP/1.1 requests, answered in order.
+
+    Each read is appended to the connection's buffer.  Every complete
+    request in it goes, in order, through the service's ``handle``, and
+    their responses leave in one ``transport.write``.  Nothing after a
+    request that does not keep the connection alive is dispatched.  Bad
+    framing drops the connection after the responses already computed for
+    that read are written.  At EOF every complete request is answered and
+    an incomplete one discarded before the connection closes.  While the
+    transport's write buffer is over its high-water mark, reading pauses
+    and nothing is dispatched.
+    """
+
+    def __init__(self, service: GatewayService) -> None:
+        self._service = service
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        self._paused = False
+        self._eof = False
+        self._reset_request()
+
+    def _reset_request(self) -> None:
+        # What is framed of the request at the front of the buffer, so that
+        # each of its lines is parsed once however it is cut into reads.
+        # Offsets count from the request's first byte.
+        self._next_line = 0
+        self._request_line: list[str] | None = None
+        self._headers: dict[str, str] = {}
+        self._body_end = -1  # known once the head is complete
+
+    # -- asyncio callbacks -------------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if not self._paused:
+            self._serve()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not self._paused:
+            self._serve()
+        return True  # keep the transport: _serve closes it once answered
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if not self._transport.is_closing():
+            self._transport.resume_reading()
+            self._serve()
+
+    # -- framing and dispatch ---------------------------------------------
+    def _serve(self) -> None:
+        """Answer every complete request in the buffer with one write."""
+        transport = self._transport
+        if transport.is_closing():
+            return
+        buffer = self._buffer
+        responses = []
+        start = 0
+        close = self._eof
+        error = None
+        try:
+            while True:
+                request = self._frame(buffer, start)
+                if request is None:
+                    break
+                method, path, version, headers, body, start = request
+                status, ctype, payload = self._service.handle(method, path, body)
+                keep_alive = _keep_alive(version, headers)
+                responses.append(_response_bytes(status, ctype, payload, keep_alive))
+                if not keep_alive:
+                    close = True
+                    break
+        except _BadRequest:
+            close = True
+        except Exception as exc:  # a fault in handle: answer what is done, then drop
+            close = True
+            error = exc
+        if responses:
+            transport.write(b"".join(responses))
+        if close:
+            buffer.clear()
+            transport.close()
+        else:
+            del buffer[:start]
+        if error is not None:
+            asyncio.get_running_loop().call_exception_handler({
+                "message": "gateway request handler failed",
+                "exception": error,
+                "protocol": self,
+                "transport": transport,
+            })
+
+    def _frame(
+        self, buffer: bytearray, start: int
+    ) -> tuple[str, str, str, dict[str, str], bytes, int] | None:
+        """Frame the request at ``buffer[start:]``.
+
+        Returns ``(method, path, version, headers, body, end)``, ``end``
+        being the offset just past the request, or None while it is
+        incomplete.  Raises :class:`_BadRequest` on framing that drops the
+        connection.  Each line is checked once it is complete, so a bad one
+        drops the connection before the rest of its request arrives.
+        """
+        if self._body_end < 0:
+            limit = start + _MAX_HEAD
+            pos = start + self._next_line
+            headers = self._headers
+            while True:
+                eol = buffer.find(b"\n", pos, limit)
+                if eol < 0:
+                    if len(buffer) >= limit:
+                        raise _BadRequest(f"request head over {_MAX_HEAD} bytes")
+                    self._next_line = pos - start
+                    return None
+                line = buffer[pos:eol]
+                pos = eol + 1
+                if self._request_line is None:
+                    parts = line.decode("latin-1").split()
+                    if len(parts) != 3:
+                        raise _BadRequest(f"malformed request line: {bytes(line)!r}")
+                    self._request_line = parts
+                elif not line or line == b"\r":
+                    break
+                else:
+                    name, sep, value = line.decode("latin-1").partition(":")
+                    if not sep:
+                        raise _BadRequest(f"malformed header: {bytes(line)!r}")
+                    headers[name.strip().lower()] = value.strip()
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                raise _BadRequest("malformed Content-Length") from None
+            if length < 0 or length > _MAX_BODY:
+                raise _BadRequest(f"content length {length} out of bounds")
+            self._next_line = pos - start  # where the body starts
+            self._body_end = self._next_line + length
+        end = start + self._body_end
+        if len(buffer) < end:
             return None
-        name, sep, value = header.decode("latin-1").partition(":")
-        if not sep:
-            raise _BadRequest(f"malformed header: {header!r}")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise _BadRequest("malformed Content-Length") from None
-    if length < 0 or length > _MAX_BODY:
-        raise _BadRequest(f"content length {length} out of bounds")
-    body = await reader.readexactly(length) if length else b""
-    # Query strings are not part of the API; strip them defensively.
-    path = target.split("?", 1)[0]
-    return method.upper(), path, version, headers, body
+        body = bytes(buffer[start + self._next_line:end])
+        method, target, version = self._request_line
+        headers = self._headers
+        self._reset_request()
+        # Query strings are not part of the API; strip them defensively.
+        return method.upper(), target.split("?", 1)[0], version, headers, body, end
 
 
 async def serve(

@@ -8,7 +8,10 @@ gateway's own HTTP layer (``GatewayService.start``) must dispatch the same
 requests, write the same response bytes and close the connection at the
 same point as the reference, without reaching the loop's exception handler.
 
-The dispatcher is a :class:`GatewayService` subclass whose ``handle`` is a
+The streams run twice: over a loopback socket, and on one connection's
+protocol with a fake transport, where the chunk boundaries are exact and
+each read that completes requests must answer them with one write.  The
+dispatcher is a :class:`GatewayService` subclass whose ``handle`` is a
 deterministic function of the request that records its calls: real advice
 carries ``decision_seconds``, which varies between runs.
 """
@@ -18,11 +21,13 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+from unittest import mock
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gateway import GatewayConfig, GatewayService, SessionConfig
+from repro.gateway import service as service_module
 
 # ---------------------------------------------------------------------------
 # The reference framing, copied unchanged
@@ -175,15 +180,31 @@ class _MemoryWriter:
 
 
 class Outcome:
-    """What one connection did: calls dispatched, bytes written, closed or not."""
+    """What one connection did: calls dispatched, bytes written, closed or not.
 
-    def __init__(self, calls, data: bytes, closed: bool) -> None:
+    ``requests`` are the ``(method, path, version, headers, body)`` framed,
+    where the run can see them.
+    """
+
+    def __init__(self, calls, data: bytes, closed: bool, requests=None) -> None:
         self.calls = list(calls)
         self.data = bytes(data)
         self.closed = closed
+        self.requests = requests
 
     def __repr__(self) -> str:  # pragma: no cover - failure output only
         return f"Outcome(calls={self.calls!r}, data={self.data!r}, closed={self.closed})"
+
+
+async def _reference_requests(reader: asyncio.StreamReader, into: list) -> None:
+    """The requests ``_on_connection`` dispatches, framed by the reference."""
+    try:
+        while (request := await _read_request(reader)) is not None:
+            into.append(request)
+            if not _keep_alive(request[2], request[3]):
+                break
+    except (asyncio.IncompleteReadError, _BadRequest):
+        pass
 
 
 def reference_outcome(chunks: list[bytes], eof: bool) -> Outcome:
@@ -193,21 +214,29 @@ def reference_outcome(chunks: list[bytes], eof: bool) -> Outcome:
     once; it runs until it closes or waits for bytes that never come.
     """
 
-    async def main() -> Outcome:
-        service = RecordingService()
+    def stream_reader() -> asyncio.StreamReader:
         reader = asyncio.StreamReader()
         for chunk in chunks:
             reader.feed_data(chunk)
         if eof:
             reader.feed_eof()
+        return reader
+
+    async def main() -> Outcome:
+        service = RecordingService()
         writer = _MemoryWriter()
-        task = asyncio.ensure_future(_on_connection(service, reader, writer))
+        requests: list = []
+        tasks = [
+            asyncio.ensure_future(_on_connection(service, stream_reader(), writer)),
+            asyncio.ensure_future(_reference_requests(stream_reader(), requests)),
+        ]
         for _ in range(3):
             await asyncio.sleep(0)
         closed = writer.closed
-        task.cancel()
-        await asyncio.gather(task, return_exceptions=True)
-        return Outcome(service.calls, writer.data, closed)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        return Outcome(service.calls, writer.data, closed, requests)
 
     return asyncio.run(main())
 
@@ -405,6 +434,183 @@ class TestDifferentialOverSockets:
             expected.calls, expected.data, expected.closed,
         )
         assert errors == []
+
+
+class FakeTransport:
+    """The transport surface the protocol uses, recording each write."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+        self.closing = False
+        self.reading_paused = False
+
+    def write(self, data: bytes) -> None:
+        assert not self.closing
+        self.writes.append(bytes(data))
+
+    def close(self) -> None:
+        self.closing = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def pause_reading(self) -> None:
+        self.reading_paused = True
+
+    def resume_reading(self) -> None:
+        self.reading_paused = False
+
+
+def protocol_outcome(chunks: list[bytes], eof: bool, pause=None) -> Outcome:
+    """Feed the chunks to one connection's protocol, exactly as cut.
+
+    ``pause`` is ``(a, b)``: ``pause_writing`` before step ``a`` and
+    ``resume_writing`` before step ``b``, the steps being the chunks, then
+    EOF, then the end.  Checks on the way that each step writes once when
+    it dispatches and not at all otherwise, and that nothing is dispatched
+    while writing is paused.
+    """
+    service = RecordingService()
+    transport = FakeTransport()
+    requests = []
+    frame = service_module._HTTPProtocol._frame
+
+    def recording_frame(protocol, buffer, start):
+        request = frame(protocol, buffer, start)
+        if request is not None:
+            requests.append(request[:5])
+        return request
+
+    def step(action) -> None:
+        calls, writes = len(service.calls), len(transport.writes)
+        action()
+        dispatched = len(service.calls) - calls
+        assert len(transport.writes) - writes == (1 if dispatched else 0)
+        if paused:
+            assert dispatched == 0 and transport.reading_paused
+
+    paused = False
+    with mock.patch.object(service_module._HTTPProtocol, "_frame", recording_frame):
+        protocol = service_module._HTTPProtocol(service)
+        protocol.connection_made(transport)
+        actions = [lambda chunk=chunk: protocol.data_received(chunk) for chunk in chunks]
+        if eof:
+            actions.append(protocol.eof_received)
+        for k in range(len(actions) + 1):
+            if pause is not None and k == pause[0]:
+                protocol.pause_writing()
+                paused = True
+            if pause is not None and k == pause[1]:
+                paused = False
+                step(protocol.resume_writing)
+                assert not transport.reading_paused or transport.closing
+            if k < len(actions) and not transport.closing:
+                step(actions[k])
+    return Outcome(service.calls, b"".join(transport.writes), transport.closing, requests)
+
+
+@st.composite
+def pauses(draw, chunks: list[bytes], eof: bool):
+    """None, or when to pause and resume writing (see protocol_outcome)."""
+    steps = len(chunks) + int(eof)
+    if draw(st.booleans()):
+        return None
+    a = draw(st.integers(0, steps - 1))
+    return a, draw(st.integers(a + 1, steps))
+
+
+class TestDifferentialOnTheProtocol:
+    @given(streams(), st.data())
+    def test_same_requests_bytes_and_close_one_write_per_read(self, stream, data):
+        chunks, eof = stream
+        expected = reference_outcome(chunks, eof)
+        got = protocol_outcome(chunks, eof, data.draw(pauses(chunks, eof)))
+        assert got.requests == expected.requests
+        assert got.calls == expected.calls
+        assert got.data == expected.data
+        assert got.closed == expected.closed
+
+    def test_pause_holds_back_dispatch_until_resume(self):
+        stream = b"GET /healthz HTTP/1.1\r\n\r\n" * 3
+        expected = reference_outcome([stream], eof=False)
+        got = protocol_outcome([stream[:30], stream[30:]], False, pause=(0, 2))
+        assert len(got.calls) == 3
+        assert (got.calls, got.data, got.closed) == (
+            expected.calls, expected.data, expected.closed,
+        )
+
+
+@st.composite
+def long_heads(draw) -> tuple[list[bytes], bytes]:
+    """Requests, then a head over 64 KiB: one long line or many short ones."""
+    before = draw(st.lists(valid_frames(keep_alive=True), max_size=3))
+    if draw(st.booleans()):
+        head = b"GET /" + b"a" * draw(st.integers(1 << 16, 70_000)) + b" HTTP/1.1\r\n"
+    else:
+        line = b"X-Pad: " + b"b" * draw(st.integers(0, 60)) + b"\r\n"
+        head = b"GET /healthz HTTP/1.1\r\n" + line * ((1 << 16) // len(line) + 1)
+    tail = draw(st.sampled_from([b"", b"\r\n", b"\r\nGET /healthz HTTP/1.1\r\n\r\n"]))
+    data = b"".join(before) + head + tail
+    cuts = draw(st.lists(st.integers(1, len(data) - 1), max_size=4))
+    bounds = [0, *sorted(set(cuts)), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:]) if b > a], b"".join(before)
+
+
+class TestLongHeads:
+    """A head over 64 KiB drops the connection once the earlier requests
+    are answered (the reference raised ValueError on one long line, and
+    set no bound on many short ones)."""
+
+    @settings(max_examples=20)
+    @given(long_heads(), st.booleans())
+    def test_dropped_after_the_earlier_responses(self, case, eof):
+        chunks, before = case
+        earlier = reference_outcome([before], eof=False)
+        expected = Outcome(earlier.calls, earlier.data, True)
+        got = protocol_outcome(chunks, eof)
+        assert (got.calls, got.data, got.closed) == (expected.calls, expected.data, True)
+        live, errors = live_outcome(chunks, eof, expected)
+        assert (live.calls, live.data, live.closed) == (expected.calls, expected.data, True)
+        assert errors == []
+
+
+class _FailingService(RecordingService):
+    def handle(self, method: str, path: str, body: bytes) -> tuple[int, str, bytes]:
+        if path == "/boom":
+            raise RuntimeError("boom")
+        return super().handle(method, path, body)
+
+
+class TestHandlerFault:
+    def test_earlier_responses_written_then_dropped_and_reported(self):
+        stream = (
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /boom HTTP/1.1\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\n\r\n"
+        )
+        expected = reference_outcome([stream.split(b"GET /boom")[0]], eof=False)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            errors: list = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            service = _FailingService()
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(stream)
+                data = await asyncio.wait_for(reader.read(), _TIMEOUT_S)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+            return service.calls, data, errors
+
+        calls, data, errors = asyncio.run(main())
+        assert calls == expected.calls
+        assert data == expected.data
+        assert [str(context["exception"]) for context in errors] == ["boom"]
 
 
 async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
