@@ -244,7 +244,7 @@ class GatewayService:
                 raise _HTTPError(405, "method not allowed")
             try:
                 payload = json.loads(body) if body else {}
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise _HTTPError(400, f"invalid JSON body: {exc}") from None
             return 200, _JSON, _json_bytes(self.report_access(payload))
         if path.startswith("/v1/session/"):

@@ -27,6 +27,7 @@ stream of session ids cannot grow memory without bound.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -176,16 +177,23 @@ class GatewaySession:
         The first report of a session is the warm start (§5.3's pre-served
         initial item): it seeds the cache, plans, and is not scored.  Every
         later report is one :func:`repro.distsys.planning.step` on the
-        session's virtual clock.
+        session's virtual clock.  A report that would take that clock past
+        the largest finite float is rejected before any state changes:
+        from an infinite clock every later access time would be NaN.
         """
         item = int(item)
         if not 0 <= item < len(self._transfer):
             raise ValueError(
                 f"item {item} outside catalog [0, {len(self._transfer)})"
             )
-        viewing = float(viewing_time)
+        try:
+            viewing = float(viewing_time)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("viewing_time must be finite") from None
         if not viewing >= 0.0:
             raise ValueError("viewing_time must be non-negative")
+        if not math.isfinite(self.clock + viewing):
+            raise ValueError("viewing_time must keep the session clock finite")
         index = self._index
         self._index = index + 1
 
@@ -227,13 +235,14 @@ class GatewaySession:
             "pending": {
                 str(item): arrival for item, arrival in sorted(self.state.pending.items())
             },
-            "hit_rate": stats.hit_rate,
+            # null, not NaN (which is not JSON), until a request is scored
+            "hit_rate": stats.hit_rate if stats.requests else None,
             "cache_hits": stats.cache_hits,
             "pending_waits": stats.pending_waits,
             "misses": stats.misses,
             "prefetches_scheduled": stats.prefetches_scheduled,
             "prefetches_used": stats.prefetches_used,
-            "mean_access_time": stats.mean_access_time,
+            "mean_access_time": stats.mean_access_time if stats.requests else None,
         }
 
 

@@ -8,6 +8,8 @@ socket; ``test_e2e.py`` covers the asyncio framing on top.
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.gateway import GatewayConfig, GatewayService, SessionConfig, TierSpec
 
@@ -110,6 +112,88 @@ class TestAccessValidation:
         # (still unstarted) session but no report is recorded.
         session = service.store.get("a")
         assert session is None or session.stats.requests == 0
+
+
+def _strict_json(body: bytes):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(body, parse_constant=refuse)
+
+
+_REPORT_FIELDS = st.fixed_dictionaries(
+    {
+        "session": st.sampled_from(["a", "b"]) | st.text(max_size=4),
+        "item": st.integers(-2, 22) | st.floats() | st.booleans() | st.none(),
+        "viewing_time": st.floats(min_value=0.0) | st.floats()
+        | st.integers(-1, 10**400) | st.text(max_size=2),
+    }
+)
+_REQUESTS = st.tuples(
+    st.sampled_from(["GET", "POST", "DELETE", "PUT"]) | st.text(max_size=4),
+    st.sampled_from(["/v1/access", "/v1/session/a", "/v1/session/b", "/healthz", "/metrics"])
+    | st.text(max_size=12),
+    st.binary(max_size=24)
+    | _REPORT_FIELDS.map(lambda fields: json.dumps(fields).encode())
+    | st.integers(1, 20_000).map(lambda depth: b"[" * depth),
+)
+
+
+class TestGarbageInput:
+    """Whatever a client sends, ``handle`` answers with a status and JSON."""
+
+    @pytest.mark.parametrize(
+        "body", [b"\xff", b"[" * 100_000, b"{\"a\": \xfe}"], ids=["ff", "deep", "fe"]
+    )
+    def test_undecodable_or_too_deep_body_400(self, service, body):
+        status, _, out = service.handle("POST", "/v1/access", body)
+        assert status == 400
+        assert _strict_json(out)["error"].startswith("invalid JSON body")
+
+    @pytest.mark.parametrize(
+        "viewing", [b"Infinity", b"1e999", b"1" + b"0" * 400], ids=["inf", "1e999", "int"]
+    )
+    def test_non_finite_viewing_time_400(self, service, viewing):
+        _post_access(service, {"session": "a", "item": 1, "viewing_time": 2.0})
+        before = service.handle("GET", "/v1/session/a", b"")
+        body = b'{"session": "a", "item": 2, "viewing_time": ' + viewing + b"}"
+        status, _, out = service.handle("POST", "/v1/access", body)
+        assert status == 400
+        assert "viewing_time" in _strict_json(out)["error"]
+        assert service.handle("GET", "/v1/session/a", b"") == before
+
+    def test_clock_overflow_400_and_later_reports_stay_json(self, service):
+        report = {"session": "a", "item": 1, "viewing_time": 1e308}
+        assert _post_access(service, report)[0] == 200
+        assert _post_access(service, report)[0] == 400
+        status, _, body = _post_access(service, {"session": "a", "item": 1, "viewing_time": 0})
+        assert status == 200
+        assert _strict_json(body)["served"] == "hit"
+        _strict_json(service.handle("GET", "/v1/session/a", b"")[2])
+
+    def test_unscored_session_rates_are_null(self, service):
+        _post_access(service, {"session": "a", "item": 1, "viewing_time": 2.0})
+        snap = _strict_json(service.handle("GET", "/v1/session/a", b"")[2])
+        assert snap["hit_rate"] is None
+        assert snap["mean_access_time"] is None
+
+    @given(st.lists(_REQUESTS, min_size=1, max_size=6))
+    def test_handle_never_raises_and_answers_json(self, requests):
+        service = GatewayService(
+            GatewayConfig.uniform(
+                20, session=SessionConfig(cache_capacity=4), tiers=(TierSpec("edge", "lru", 8),)
+            ),
+            clock=lambda: 0.0,
+        )
+        for method, path, body in requests:
+            status, ctype, out = service.handle(method, path, body)
+            assert status in (200, 400, 404, 405)
+            if ctype == "application/json":
+                _strict_json(out)
+            else:
+                assert (method, path) == ("GET", "/metrics")
 
 
 class TestAdvicePayload:

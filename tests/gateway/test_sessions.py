@@ -135,6 +135,55 @@ class TestGatewaySession:
         assert snap["requests"] == 1
 
 
+class TestNonFiniteClock:
+    """A report that would make the virtual clock infinite is rejected
+    before it changes anything; from an infinite clock every later access
+    time would be NaN."""
+
+    @staticmethod
+    def _state(session):
+        return (
+            session.clock, session.snapshot(), list(session.stats.access_times),
+            session.stats.serve_kinds[:],
+        )
+
+    @pytest.mark.parametrize("viewing", [float("inf"), 10**400], ids=["inf", "int"])
+    def test_non_finite_viewing_time_rejected(self, viewing):
+        store, _ = _store()
+        session = store.get_or_create("alice")
+        session.report(0, 1.0)
+        before = self._state(session)
+        with pytest.raises(ValueError, match="viewing_time"):
+            session.report(1, viewing)
+        assert self._state(session) == before
+        assert session.report(1, 1.0).access_time == 1.0  # a miss on a unit link
+
+    def test_overflowing_clock_rejected_and_session_recovers(self):
+        store, _ = _store()
+        session = store.get_or_create("alice")
+        session.report(0, 1e308)
+        before = self._state(session)
+        with pytest.raises(ValueError, match="clock finite"):
+            session.report(1, 1e308)
+        assert self._state(session) == before
+        advice = session.report(0, 0.0)
+        assert advice.served == "hit"
+        assert np.isfinite([advice.t_request, advice.t_serve, advice.access_time]).all()
+
+    def test_rates_null_until_a_request_is_scored(self):
+        import json
+
+        store, _ = _store()
+        session = store.get_or_create("alice")
+        session.report(0, 1.0)  # the warm start is not scored
+        snap = session.snapshot()
+        assert snap["hit_rate"] is None and snap["mean_access_time"] is None
+        assert "NaN" not in json.dumps(snap)
+        session.report(0, 1.0)
+        snap = session.snapshot()
+        assert (snap["hit_rate"], snap["mean_access_time"]) == (1.0, 0.0)
+
+
 class TestSessionStore:
     def test_ttl_expiry(self):
         store, now = _store(SessionConfig(ttl=10.0))
