@@ -40,7 +40,12 @@ from repro.experiments.registry import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.workload.dynamics import DynamicsConfig, DynamicsInfo
-from repro.workload.population import LazyPopulation, Population, check_zipf_mixture
+from repro.workload.population import (
+    LazyPopulation,
+    Population,
+    check_markov_population,
+    check_zipf_mixture,
+)
 
 __all__ = [
     "FleetBuild",
@@ -306,20 +311,38 @@ def _zipf_knobs(wl: Mapping) -> dict:
     )
 
 
+def _ranges(wl: Mapping) -> dict:
+    """The viewing-time and item-size ranges of a resolved workload."""
+    return dict(
+        v_range=(float(wl["v_min"]), float(wl["v_max"])),
+        size_range=(float(wl["size_min"]), float(wl["size_max"])),
+    )
+
+
+def _out_degree(wl: Mapping) -> tuple[int, int]:
+    """The out-degree range of a resolved ``markov-pop`` workload."""
+    return int(wl["out_min"]), int(wl["out_max"])
+
+
 def check_population(wl: Mapping, requests: int) -> None:
     """Reject a resolved workload's population or dynamics knob, drawing nothing.
 
     Builds the :class:`~repro.workload.dynamics.DynamicsConfig` and runs
-    the checks the Zipf-mixture builders run
-    (:func:`~repro.workload.population.check_zipf_mixture`), raising their
-    :class:`ValueError`; spec validation re-raises it as
+    the checks the population builders run
+    (:func:`~repro.workload.population.check_zipf_mixture`,
+    :func:`~repro.workload.population.check_markov_population`), raising
+    their :class:`ValueError`; spec validation re-raises it as
     :class:`~repro.experiments.spec.SpecError`.
     """
     _dynamics(wl)
+    shape = (int(wl["n_clients"]), int(wl["n"]), requests)
     if wl["source"] == "zipf-mix":
         check_zipf_mixture(
-            int(wl["n_clients"]), int(wl["n"]), requests,
-            stagger=float(wl["stagger"]), **_zipf_knobs(wl),
+            *shape, stagger=float(wl["stagger"]), **_zipf_knobs(wl), **_ranges(wl)
+        )
+    else:
+        check_markov_population(
+            *shape, stagger=float(wl["stagger"]), out_degree=_out_degree(wl), **_ranges(wl)
         )
 
 
@@ -335,8 +358,7 @@ def _build_dynamic_population(
     ``client_ids`` materialises only the named members of the fleet.
     """
     common = dict(
-        v_range=(float(wl["v_min"]), float(wl["v_max"])),
-        size_range=(float(wl["size_min"]), float(wl["size_max"])),
+        **_ranges(wl),
         stagger=float(wl["stagger"]),
         seed=seed,
         dynamics=_dynamics(wl),
@@ -351,7 +373,7 @@ def _build_dynamic_population(
         n_clients,
         int(wl["n"]),
         requests,
-        out_degree=(int(wl["out_min"]), int(wl["out_max"])),
+        out_degree=_out_degree(wl),
         **common,
     )
 

@@ -50,7 +50,7 @@ from repro.workload.population import (
     ClientWorkload,
     Population,
     _catalog_sizes,
-    _check_common,
+    check_markov_population,
     check_zipf_mixture,
     markov_population,
     zipf_mixture_population,
@@ -290,7 +290,7 @@ def dynamic_zipf_population(
 
     check_zipf_mixture(
         n_clients, n_items, requests, exponent_range=exponent_range, overlap=overlap,
-        top_k=top_k, stagger=stagger,
+        top_k=top_k, stagger=stagger, v_range=v_range, size_range=size_range,
     )
     top_k = int(top_k)
 
@@ -445,7 +445,10 @@ def dynamic_markov_population(
         )
         return DynamicPopulation(population=population, info=info)
 
-    _check_common(n_clients, n_items, requests, stagger)
+    check_markov_population(
+        n_clients, n_items, requests, out_degree=out_degree, v_range=v_range,
+        size_range=size_range, stagger=stagger,
+    )
     sizes = _catalog_sizes(n_items, size_range, seed)
     regime_of = config.regime_of_requests(requests)
     n_regimes = int(regime_of.max()) + 1 if requests else 1

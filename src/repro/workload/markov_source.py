@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.util.rng import as_generator
 
-__all__ = ["MarkovSource", "generate_markov_source"]
+__all__ = ["MarkovSource", "check_out_degree", "generate_markov_source"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,13 @@ class MarkovSource:
         return pi / pi.sum()
 
 
+def check_out_degree(out_degree: tuple[int, int], n_states: int) -> None:
+    """Reject an out-degree range no source over ``n_states`` states can have."""
+    lo, hi = out_degree
+    if not (1 <= lo <= hi <= n_states):
+        raise ValueError(f"out_degree range {out_degree} invalid for {n_states} states")
+
+
 def generate_markov_source(
     n_states: int = 100,
     *,
@@ -120,9 +127,8 @@ def generate_markov_source(
     """Construct a §5.3 source (defaults are the paper's parameters)."""
     if n_states < 1:
         raise ValueError("n_states must be positive")
+    check_out_degree(out_degree, n_states)
     lo, hi = out_degree
-    if not (1 <= lo <= hi <= n_states):
-        raise ValueError(f"out_degree range {out_degree} invalid for {n_states} states")
     rng = as_generator(seed)
     transition = np.zeros((n_states, n_states), dtype=np.float64)
     for i in range(n_states):

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.util.rng import derive_seed
 from repro.util.validation import PROBABILITY_TOLERANCE, check_probability_vector
-from repro.workload.markov_source import generate_markov_source
+from repro.workload.markov_source import check_out_degree, generate_markov_source
 from repro.workload.trace import Trace
 from repro.workload.zipf import zipf_probabilities
 
@@ -37,6 +37,7 @@ __all__ = [
     "ClientWorkload",
     "LazyPopulation",
     "Population",
+    "check_markov_population",
     "check_zipf_mixture",
     "derive_seed",
     "markov_population",
@@ -148,14 +149,22 @@ class LazyPopulation:
 
 
 def _catalog_sizes(n_items: int, size_range: tuple[float, float], seed: int) -> np.ndarray:
-    lo, hi = float(size_range[0]), float(size_range[1])
-    if not (0 < lo <= hi):
-        raise ValueError(f"size_range must satisfy 0 < lo <= hi, got {size_range}")
+    """Item sizes drawn from ``size_range`` (checked by :func:`_check_common`)."""
     rng = np.random.default_rng(derive_seed(seed, role="catalog"))
-    return rng.uniform(lo, hi, int(n_items))
+    return rng.uniform(float(size_range[0]), float(size_range[1]), int(n_items))
 
 
-def _check_common(n_clients: int, n_items: int, requests: int, stagger: float) -> None:
+def _check_common(
+    n_clients: int,
+    n_items: int,
+    requests: int,
+    stagger: float,
+    *,
+    size_range: tuple[float, float],
+    v_range: tuple[float, float] | None = None,
+) -> None:
+    """The checks every population builder runs; ``v_range`` is None for
+    replayed traces, whose viewing times are recorded, not drawn."""
     if n_clients < 1:
         raise ValueError("n_clients must be positive")
     if n_items < 2:
@@ -164,6 +173,10 @@ def _check_common(n_clients: int, n_items: int, requests: int, stagger: float) -
         raise ValueError("requests must be positive")
     if stagger < 0:
         raise ValueError("stagger must be non-negative")
+    if not (0 < size_range[0] <= size_range[1]):
+        raise ValueError(f"size_range must satisfy 0 < lo <= hi, got {size_range}")
+    if v_range is not None and not (0 <= v_range[0] <= v_range[1]):
+        raise ValueError(f"v_range must satisfy 0 <= lo <= hi, got {v_range}")
 
 
 def check_zipf_mixture(
@@ -175,6 +188,8 @@ def check_zipf_mixture(
     overlap: float,
     top_k: int,
     stagger: float,
+    v_range: tuple[float, float],
+    size_range: tuple[float, float],
     v_quantum: float = 0.0,
 ) -> None:
     """Reject a Zipf-mixture knob with :class:`ValueError`, drawing nothing.
@@ -183,7 +198,9 @@ def check_zipf_mixture(
     variant (:func:`repro.workload.dynamics.dynamic_zipf_population`);
     experiment specs run them at validation time.
     """
-    _check_common(n_clients, n_items, requests, stagger)
+    _check_common(
+        n_clients, n_items, requests, stagger, size_range=size_range, v_range=v_range
+    )
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must be in [0, 1]")
     if not (0 < exponent_range[0] <= exponent_range[1]):
@@ -192,6 +209,28 @@ def check_zipf_mixture(
         raise ValueError("v_quantum must be finite and non-negative")
     if int(top_k) < 1:
         raise ValueError("top_k must be positive")
+
+
+def check_markov_population(
+    n_clients: int,
+    n_items: int,
+    requests: int,
+    *,
+    out_degree: tuple[int, int],
+    v_range: tuple[float, float],
+    size_range: tuple[float, float],
+    stagger: float,
+) -> None:
+    """Reject a Markov-population knob with :class:`ValueError`, drawing nothing.
+
+    The checks of :func:`markov_population` and of its drifting variant
+    (:func:`repro.workload.dynamics.dynamic_markov_population`); experiment
+    specs run them at validation time.
+    """
+    _check_common(
+        n_clients, n_items, requests, stagger, size_range=size_range, v_range=v_range
+    )
+    check_out_degree(out_degree, n_items)
 
 
 def _resolve_client_ids(n_clients: int, client_ids) -> list[int]:
@@ -262,7 +301,8 @@ def zipf_mixture_population(
     """
     check_zipf_mixture(
         n_clients, n_items, requests, exponent_range=exponent_range, overlap=overlap,
-        top_k=top_k, stagger=stagger, v_quantum=v_quantum,
+        top_k=top_k, stagger=stagger, v_range=v_range, size_range=size_range,
+        v_quantum=v_quantum,
     )
     top_k = int(top_k)
 
@@ -344,7 +384,7 @@ def trace_population(
             f"trace references item {trace.n_items - 1} but the catalog "
             f"holds only {n_items} items"
         )
-    _check_common(n_clients, n_items, requests, stagger)
+    _check_common(n_clients, n_items, requests, stagger, size_range=size_range)
     sizes = _catalog_sizes(n_items, size_range, seed)
 
     # Shared empirical model: first-order transition counts over the log.
@@ -406,7 +446,10 @@ def markov_population(
     ``client_ids`` builds only the named members of the fleet (bit-identical
     to slicing the full build, see :func:`zipf_mixture_population`).
     """
-    _check_common(n_clients, n_items, requests, stagger)
+    check_markov_population(
+        n_clients, n_items, requests, out_degree=out_degree, v_range=v_range,
+        size_range=size_range, stagger=stagger,
+    )
     sizes = _catalog_sizes(n_items, size_range, seed)
 
     clients = []

@@ -11,6 +11,12 @@ from repro.experiments import (
     preset,
     preset_names,
 )
+from repro.workload.dynamics import (
+    DynamicsConfig,
+    dynamic_markov_population,
+    dynamic_zipf_population,
+)
+from repro.workload.population import markov_population, zipf_mixture_population
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -413,6 +419,54 @@ class TestPopulationKnobsFailAtValidation:
         data["workload"]["drift_regimes"] = 0
         with pytest.raises(SpecError, match="n_regimes must be positive"):
             ExperimentSpec.from_dict(data)
+
+
+class TestMarkovAndRangeKnobsFailAtValidation:
+    """Markov-population knobs, and the viewing-time and size ranges of
+    either source, fail at validation with the builders' own message."""
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            ({"source": "markov-pop", "stagger": -1.0}, "stagger must be non-negative"),
+            ({"source": "markov-pop", "n": 1}, "need at least two catalog items"),
+            ({"source": "markov-pop", "n": 10}, r"out_degree range \(10, 20\) invalid for 10"),
+            ({"source": "markov-pop", "out_min": 5, "out_max": 2}, r"out_degree range \(5, 2\)"),
+            ({"source": "markov-pop", "size_min": -1.0}, r"size_range must satisfy 0 < lo"),
+            ({"source": "zipf-mix", "size_min": -1.0}, r"size_range must satisfy 0 < lo"),
+            ({"source": "markov-pop", "v_min": 5.0, "v_max": 1.0}, "v_range must satisfy"),
+            ({"source": "zipf-mix", "v_min": 5.0, "v_max": 1.0}, "v_range must satisfy"),
+            ({"source": "markov-pop", "v_min": -5.0, "v_max": -1.0}, "v_range must satisfy"),
+            ({"source": "zipf-mix", "v_min": -5.0, "v_max": -1.0}, "v_range must satisfy"),
+        ],
+    )
+    def test_bad_knob(self, workload, message):
+        with pytest.raises(SpecError, match=message):
+            fleet_spec(workload=workload)
+
+    def test_markov_regime_drift_checks_the_out_degree(self):
+        with pytest.raises(SpecError, match="out_degree range"):
+            fleet_spec(workload={"source": "markov-pop", "n": 10, "drift": "regime"})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: zipf_mixture_population(2, 20, 5, **kw),
+            lambda **kw: markov_population(2, 20, 5, **kw),
+            lambda **kw: dynamic_zipf_population(
+                2, 20, 5, dynamics=DynamicsConfig(kind="regime"), **kw
+            ),
+            lambda **kw: dynamic_markov_population(
+                2, 20, 5, dynamics=DynamicsConfig(kind="regime"), **kw
+            ),
+        ],
+        ids=["zipf", "markov", "zipf-regime", "markov-regime"],
+    )
+    def test_builders_run_the_same_range_checks(self, build):
+        with pytest.raises(ValueError, match="v_range must satisfy"):
+            build(v_range=(5.0, 1.0))
+        with pytest.raises(ValueError, match="v_range must satisfy"):
+            build(v_range=(-5.0, -1.0))
 
 
 class TestOverrides:
