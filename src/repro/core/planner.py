@@ -160,13 +160,16 @@ def _below_floor(
         return True
     if ranked is not None and ranked.pr is not None:
         floor = min(map(ranked.profit_lookup(), cache))
-        reach = [i for i, pr in zip(ranked.items, ranked.pr) if pr >= floor]
-    else:
-        profits = problem.profits()
-        floor = min(map(profits.item, cache))
-        # Reaching a positive floor takes P_i > 0; every positive-P item
-        # reaches a zero floor.
-        reach = (profits >= floor if floor > 0.0 else problem.probabilities).nonzero()[0].tolist()
+        # Stop at the first unblocked item that reaches the floor.
+        for i, pr in zip(ranked.items, ranked.pr):
+            if pr >= floor and i not in blocked:
+                return False
+        return True
+    profits = problem.profits()
+    floor = min(map(profits.item, cache))
+    # Reaching a positive floor takes P_i > 0; every positive-P item
+    # reaches a zero floor.
+    reach = (profits >= floor if floor > 0.0 else problem.probabilities).nonzero()[0].tolist()
     return blocked.issuperset(reach)
 
 
