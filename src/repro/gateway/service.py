@@ -331,11 +331,13 @@ class _HTTPProtocol(asyncio.Protocol):
     def _reset_request(self) -> None:
         # What is framed of the request at the front of the buffer, so that
         # each of its lines is parsed once however it is cut into reads.
-        # Offsets count from the request's first byte.
-        self._next_line = 0
+        # Offsets count from the request's first byte: ``_parsed`` is where
+        # the next unparsed line starts, then the body; ``_body_end`` is -1
+        # until the head is complete.
+        self._parsed = 0
         self._request_line: list[str] | None = None
         self._headers: dict[str, str] = {}
-        self._body_end = -1  # known once the head is complete
+        self._body_end = -1
 
     # -- asyncio callbacks -------------------------------------------------
     def connection_made(self, transport: asyncio.Transport) -> None:
@@ -418,14 +420,14 @@ class _HTTPProtocol(asyncio.Protocol):
         """
         if self._body_end < 0:
             limit = start + _MAX_HEAD
-            pos = start + self._next_line
+            pos = start + self._parsed
             headers = self._headers
             while True:
                 eol = buffer.find(b"\n", pos, limit)
                 if eol < 0:
                     if len(buffer) >= limit:
                         raise _BadRequest(f"request head over {_MAX_HEAD} bytes")
-                    self._next_line = pos - start
+                    self._parsed = pos - start
                     return None
                 line = buffer[pos:eol]
                 pos = eol + 1
@@ -447,12 +449,12 @@ class _HTTPProtocol(asyncio.Protocol):
                 raise _BadRequest("malformed Content-Length") from None
             if length < 0 or length > _MAX_BODY:
                 raise _BadRequest(f"content length {length} out of bounds")
-            self._next_line = pos - start  # where the body starts
-            self._body_end = self._next_line + length
+            self._parsed = pos - start
+            self._body_end = self._parsed + length
         end = start + self._body_end
         if len(buffer) < end:
             return None
-        body = bytes(buffer[start + self._next_line:end])
+        body = bytes(buffer[start + self._parsed:end])
         method, target, version = self._request_line
         headers = self._headers
         self._reset_request()
