@@ -23,6 +23,7 @@ import json
 import socket
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -330,10 +331,11 @@ _TOKEN = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=
 
 
 @st.composite
-def valid_frames(draw, keep_alive: bool = False) -> bytes:
+def valid_frames(draw, ends: bool | None = None) -> bytes:
     """One well-formed request in any of the shapes clients send.
 
-    ``keep_alive`` draws only requests that keep the connection open.
+    ``ends`` True draws only requests that end the connection, False only
+    requests that keep it open.
     """
     method = draw(st.sampled_from(_METHODS))
     path = draw(
@@ -356,13 +358,13 @@ def valid_frames(draw, keep_alive: bool = False) -> bytes:
     headers = [("Host", "gateway")]
     if body or draw(st.booleans()):
         headers.append(("Content-Length", str(len(body))))
-    connection = draw(
-        st.sampled_from(
-            ["keep-alive", "KEEP-ALIVE"] if keep_alive and version == "HTTP/1.0"
-            else [None, "keep-alive", "KEEP-ALIVE"] if keep_alive
-            else [None] * 4 + ["keep-alive", "KEEP-ALIVE", "close", "Close"]
-        )
-    )
+    if ends is None:
+        choices = [None] * 4 + ["keep-alive", "KEEP-ALIVE", "close", "Close"]
+    elif ends:
+        choices = ["close", "Close"] + ([None] if version == "HTTP/1.0" else [])
+    else:
+        choices = ["keep-alive", "KEEP-ALIVE"] + ([None] if version == "HTTP/1.1" else [])
+    connection = draw(st.sampled_from(choices))
     if connection is not None:
         headers.append(("Connection", connection))
     headers += draw(st.lists(st.tuples(_TOKEN.map(lambda t: "X-" + t), _TOKEN), max_size=2))
@@ -395,11 +397,14 @@ _GARBAGE = st.one_of(
 def streams(draw) -> tuple[list[bytes], bool]:
     """A byte stream of frames, its chunks and its EOF flag.
 
-    A run of requests that keep the connection open comes first, so most
-    streams pipeline several requests before any frame that ends them.
+    Requests that keep the connection open come first, so most streams
+    pipeline several requests; then often a frame that ends the connection
+    (a closing request or garbage), then anything, which must not be
+    dispatched after it.
     """
-    frames = draw(st.lists(valid_frames(keep_alive=True), max_size=4))
-    frames += draw(st.lists(st.one_of(*[valid_frames()] * 3, _GARBAGE), min_size=1, max_size=4))
+    frames = draw(st.lists(valid_frames(ends=False), max_size=4))
+    frames.append(draw(st.one_of(valid_frames(ends=True), _GARBAGE, valid_frames())))
+    frames += draw(st.lists(st.one_of(valid_frames(), valid_frames(), _GARBAGE), max_size=3))
     data = b"".join(frames)
     cuts = draw(st.lists(st.integers(1, max(1, len(data) - 1)), max_size=5))
     bounds = [0, *sorted(set(cuts)), len(data)]
@@ -423,11 +428,19 @@ class TestDifferentialOverSockets:
         assert live.closed == expected.closed
         assert errors == []
 
-    def test_reference_drops_a_bad_frame_after_answering_the_earlier_ones(self):
-        # A fixed example of the contract the property compares against.
-        stream = b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n"
+    @pytest.mark.parametrize(
+        "ender, paths",
+        [
+            (b"GET /metrics\r\n\r\n", ["/healthz"]),
+            (b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n", ["/healthz", "/metrics"]),
+        ],
+        ids=["bad-frame", "close"],
+    )
+    def test_nothing_dispatched_after_a_frame_that_ends_the_connection(self, ender, paths):
+        # Fixed examples of the contract the property compares against.
+        stream = b"GET /healthz HTTP/1.1\r\n\r\n" + ender + b"GET /v1/access HTTP/1.1\r\n\r\n"
         expected = reference_outcome([stream], eof=False)
-        assert [call[1] for call in expected.calls] == ["/healthz"]
+        assert [call[1] for call in expected.calls] == paths
         assert expected.closed
         live, errors = live_outcome([stream], False, expected)
         assert (live.calls, live.data, live.closed) == (
@@ -543,7 +556,7 @@ class TestDifferentialOnTheProtocol:
 @st.composite
 def long_heads(draw) -> tuple[list[bytes], bytes]:
     """Requests, then a head over 64 KiB: one long line or many short ones."""
-    before = draw(st.lists(valid_frames(keep_alive=True), max_size=3))
+    before = draw(st.lists(valid_frames(ends=False), max_size=3))
     if draw(st.booleans()):
         head = b"GET /" + b"a" * draw(st.integers(1 << 16, 70_000)) + b" HTTP/1.1\r\n"
     else:
