@@ -146,10 +146,7 @@ class RecordingService(GatewayService):
     """A gateway whose ``handle`` answers deterministically and records calls."""
 
     def __init__(self) -> None:
-        super().__init__(
-            GatewayConfig.uniform(4, session=SessionConfig(cache_capacity=1), tiers=()),
-            clock=lambda: 0.0,
-        )
+        super().__init__(GatewayConfig.uniform(4, tiers=()), clock=lambda: 0.0)
         self.calls: list[tuple[str, str, bytes]] = []
 
     def handle(self, method: str, path: str, body: bytes) -> tuple[int, str, bytes]:
