@@ -310,7 +310,7 @@ def live_outcome(chunks: list[bytes], eof: bool, expected: Outcome) -> tuple[Out
         finally:
             sock.close()
             server.close()
-            await server.wait_closed()
+            await asyncio.wait_for(server.wait_closed(), _TIMEOUT_S)
         # The server sees the client's close; let it finish its side.
         for _ in range(5):
             await asyncio.sleep(0)
@@ -614,7 +614,7 @@ class TestHandlerFault:
                 writer.close()
                 await writer.wait_closed()
                 server.close()
-                await server.wait_closed()
+                await asyncio.wait_for(server.wait_closed(), _TIMEOUT_S)
             return service.calls, data, errors
 
         calls, data, errors = asyncio.run(main())
@@ -671,7 +671,7 @@ class TestPipelinedAdvice:
                 writer.close()
                 await writer.wait_closed()
                 server.close()
-                await server.wait_closed()
+                await asyncio.wait_for(server.wait_closed(), _TIMEOUT_S)
             assert [status for status, _ in responses] == [200] * len(requests)
             return [
                 (advice["session"], advice["served"], advice["access_time"])
