@@ -501,41 +501,76 @@ _DRIFT_MEMO: dict = {}
 _DRIFT_MEMO_LIMIT = 32
 
 
-def _model_quality_replay(population: Population, info: DynamicsInfo, config: FleetConfig):
-    """Prequentially score the planning model against the moving truth.
+#: Kept rows per batched KL call: scoring holds at most this many catalog
+#: rows of model and of truth, however many clients and requests a cell has.
+_SCORE_BATCH = 512
 
-    Replays every client's served stream (initial item, then the trace — the
-    exact order :meth:`ClientPlanState.observe` sees) through a fresh copy
-    of the model the simulation planned with, scoring each request *before*
-    the model observes it: KL(truth ‖ model row) and the probability the
-    model assigned to the item that actually arrived.  Returns per-request
-    arrays pooled over clients, shape ``(n_clients, requests)``.
+
+class _ModelScore:
+    """Score a fleet's planning model against the moving truth, in the run.
+
+    Wraps the provider each client plans from.  Request ``k`` is scored
+    before the model observes it, against the row the planner read for the
+    viewing period that request ends: the plan after request ``k - 1`` (the
+    warm start's plan for ``k = 0``), which is the first row the client
+    reads once ``k`` requests are served.  A demand victim's row, read while
+    request ``k`` is served and before its item is observed, is not scored,
+    nor is the plan after the last request.  ``kl`` holds KL(truth ‖ row)
+    and ``prob`` the probability the row gave the item that arrived, per
+    request pooled over clients, shape ``(n_clients, requests)``.  Kept rows
+    are copied into fixed buffers and scored :data:`_SCORE_BATCH` at a time.
     """
-    from repro.simulation.metrics import kl_divergence
 
-    requests = info.requests
-    kl = np.empty((population.n_clients, requests))
-    prob = np.empty((population.n_clients, requests))
-    for cid, client in enumerate(population.clients):
-        if config.model_source == "online":
-            model = PREDICTORS.create(config.online_predictor, population.n_items)
-            model.update(int(client.initial_item))
-            row_of = model.conditional_row
-        else:
-            static = client.provider()
-            row_of = static
-            model = None
-        prev = int(client.initial_item)
-        items = [int(i) for i in client.trace.items]
-        for k, item in enumerate(items):
-            est = np.asarray(row_of(prev), dtype=np.float64)
-            truth = info.true_row(cid, k, prev_item=prev)
-            kl[cid, k] = kl_divergence(truth, est)
-            prob[cid, k] = est[item]
-            if model is not None:
-                model.update(item)
-            prev = item
-    return kl, prob
+    def __init__(self, info: DynamicsInfo, clients) -> None:
+        self.info = info
+        self.kl = np.empty((len(clients), info.requests))
+        self.prob = np.empty((len(clients), info.requests))
+        self._rows = np.empty((_SCORE_BATCH, info.n_items))
+        self._truth = np.empty((_SCORE_BATCH, info.n_items))
+        self._at: list[tuple[int, int]] = []  # (client, request) of each kept row
+        self._item: list[int] = []  # the item that request asked for
+        for cid, client in enumerate(clients):
+            client.state.provider = self._scored(cid, client)
+
+    def _scored(self, cid: int, client):
+        row_of = client.state.provider
+        served = client.stats.access_times
+        items = [int(i) for i in client.workload.trace.items]
+        keep = self._keep
+        kept = 0
+
+        def provider(item: int) -> np.ndarray:
+            nonlocal kept
+            row = row_of(item)
+            k = len(served)
+            if k == kept and k < len(items):
+                kept = k + 1
+                keep(cid, k, item, items[k], row)
+            return row
+
+        return provider
+
+    def _keep(self, cid: int, k: int, prev: int, item: int, row: np.ndarray) -> None:
+        n = len(self._item)
+        self._rows[n] = row
+        self._truth[n] = self.info.true_row(cid, k, prev_item=prev)
+        self._at.append((cid, k))
+        self._item.append(item)
+        if n + 1 == _SCORE_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Score every kept row."""
+        from repro.simulation.metrics import kl_divergence
+
+        n = len(self._item)
+        if n:
+            rows = self._rows[:n]
+            at = tuple(np.array(self._at).T)
+            self.kl[at] = kl_divergence(self._truth[:n], rows)
+            self.prob[at] = rows[np.arange(n), self._item]
+            self._at.clear()
+            self._item.clear()
 
 
 def _scored_fleet(spec: ExperimentSpec, cell: Mapping, seed: int):
@@ -543,18 +578,19 @@ def _scored_fleet(spec: ExperimentSpec, cell: Mapping, seed: int):
 
     Returns the fleet result, the drift events its clients' models
     counted, the per-request KL and assigned probability of
-    :func:`_model_quality_replay`, and the population's moving truth.
+    :class:`_ModelScore`, and the population's moving truth.
     """
     from repro.distsys.fleet import Fleet
 
     build = build_fleet(cell_knobs(spec, cell), int(spec.iterations), seed)
     fleet = Fleet(build.population, build.config, server_cache=build.server_cache)
+    score = _ModelScore(build.dynamics, fleet.clients)
     res = fleet.run()
+    score.flush()
     drift_events = sum(
         getattr(c.state.model, "drift_events", 0) for c in fleet.clients
     )
-    kl, prob = _model_quality_replay(build.population, build.dynamics, build.config)
-    return res, float(drift_events), kl, prob, build.dynamics
+    return res, float(drift_events), score.kl, score.prob, build.dynamics
 
 
 def _drift_simulation(spec: ExperimentSpec, cell: Mapping, seed: int) -> dict:

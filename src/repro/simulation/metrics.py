@@ -268,7 +268,7 @@ def windowed_access_series(
     )
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, *, eps: float = 1e-9) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray, *, eps: float = 1e-9):
     """``KL(p || q)`` in nats with epsilon smoothing on the estimate ``q``.
 
     The drift metrics' model-quality measure: how many nats the planner's
@@ -276,17 +276,35 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, *, eps: float = 1e-9) -> float:
     smoothed (and renormalised) so a model that zeroes out an item the
     truth still requests pays a large-but-finite penalty; ``p`` is used
     as-is (its zero entries contribute nothing).
+
+    Row-wise on 2-D ``p`` and ``q`` (one distribution per row, an array
+    of divergences back); a 1-D pair is the one-row case and returns a
+    float.  Each row is summed over its own support only, so its value
+    does not depend on the rows it is batched with.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
+    if p.ndim == 1:
+        return float(kl_divergence(p[None], q[None], eps=eps)[0])
+    if p.ndim != 2:
+        raise ValueError(f"p and q must be 1-D or 2-D, got {p.ndim}-D")
     q_s = q + eps
-    q_s = q_s / q_s.sum()
+    q_s /= q_s.sum(axis=1, keepdims=True)
     support = p > 0.0
-    # Normalise p over its own mass so sub-stochastic truths compare fairly.
-    p_n = p[support] / p[support].sum()
-    return float(np.sum(p_n * np.log(p_n / q_s[support])))
+    width = support.sum(axis=1)
+    out = np.empty(p.shape[0])
+    # Rows with equal support sizes are summed as one dense block.
+    for m in np.unique(width):
+        rows = np.flatnonzero(width == m)
+        mask = support[rows]
+        p_m = p[rows][mask].reshape(rows.size, m)
+        # Normalise p over its own mass so sub-stochastic truths compare fairly.
+        p_m = p_m / p_m.sum(axis=1, keepdims=True)
+        q_m = q_s[rows][mask].reshape(rows.size, m)
+        out[rows] = np.sum(p_m * np.log(p_m / q_m), axis=1)
+    return out
 
 
 @dataclass(frozen=True)
