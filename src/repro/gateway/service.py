@@ -42,7 +42,7 @@ import numpy as np
 from repro.distsys.network import Link
 from repro.gateway.cache import GatewayCacheHierarchy, TierSpec
 from repro.gateway.metrics import GatewayMetrics
-from repro.gateway.sessions import SessionConfig, SessionStore
+from repro.gateway.sessions import SessionConfig, SessionStore, check_report
 
 __all__ = ["GatewayConfig", "GatewayService", "serve"]
 
@@ -148,6 +148,12 @@ class GatewayService:
             raise _HTTPError(400, "field 'viewing_time' must be a number")
 
         started = time.perf_counter()
+        # Checked before the store: a rejected report must not create a
+        # session, nor evict a live one to make room for it.
+        try:
+            item, viewing = check_report(item, viewing, self.config.n_items)
+        except ValueError as exc:
+            raise _HTTPError(400, str(exc)) from None
         session = self.store.get_or_create(session_id, provider=provider)
         try:
             advice = session.report(item, viewing)

@@ -39,7 +39,7 @@ from repro.distsys.network import Channel
 from repro.distsys.planning import ClientPlanState, step, warm_start
 from repro.simulation.metrics import AccessStats
 
-__all__ = ["SessionConfig", "Advice", "GatewaySession", "SessionStore"]
+__all__ = ["SessionConfig", "Advice", "GatewaySession", "SessionStore", "check_report"]
 
 _KIND_NAMES = {
     AccessStats.KIND_HIT: "hit",
@@ -120,6 +120,29 @@ class Advice:
         }
 
 
+def check_report(item, viewing_time, n_items: int) -> tuple[int, float]:
+    """The item and viewing time of one access report, checked.
+
+    Raises ``ValueError`` unless ``item`` is in the catalog ``[0,
+    n_items)`` and ``viewing_time`` is finite and non-negative.  These
+    checks do not depend on the session, so the service runs them before
+    it looks a session up or creates one; the check that the session clock
+    stays finite is :meth:`GatewaySession.report`'s own.
+    """
+    item = int(item)
+    if not 0 <= item < n_items:
+        raise ValueError(f"item {item} outside catalog [0, {n_items})")
+    try:
+        viewing = float(viewing_time)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("viewing_time must be finite") from None
+    if not viewing >= 0.0:
+        raise ValueError("viewing_time must be non-negative")
+    if viewing == math.inf:
+        raise ValueError("viewing_time must be finite")
+    return item, viewing
+
+
 class GatewaySession:
     """One client's speculation state behind the gateway.
 
@@ -181,17 +204,7 @@ class GatewaySession:
         the largest finite float is rejected before any state changes:
         from an infinite clock every later access time would be NaN.
         """
-        item = int(item)
-        if not 0 <= item < len(self._transfer):
-            raise ValueError(
-                f"item {item} outside catalog [0, {len(self._transfer)})"
-            )
-        try:
-            viewing = float(viewing_time)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("viewing_time must be finite") from None
-        if not viewing >= 0.0:
-            raise ValueError("viewing_time must be non-negative")
+        item, viewing = check_report(item, viewing_time, len(self._transfer))
         if not math.isfinite(self.clock + viewing):
             raise ValueError("viewing_time must keep the session clock finite")
         index = self._index

@@ -108,10 +108,25 @@ class TestAccessValidation:
 
     def test_bad_request_does_not_create_session(self, service):
         _post_access(service, {"session": "a", "item": 99})
-        # item validation happens inside the session; the store keeps the
-        # (still unstarted) session but no report is recorded.
-        session = service.store.get("a")
-        assert session is None or session.stats.requests == 0
+        assert service.store.get("a") is None
+        assert service.store.counters.created == 0
+
+    def test_rejected_reports_do_not_evict_a_live_session(self):
+        service = GatewayService(
+            GatewayConfig.uniform(10, session=SessionConfig(max_sessions=2)),
+            clock=lambda: 0.0,
+        )
+        for item in (1, 2, 3):
+            assert _post_access(service, {"session": "live", "item": item})[0] == 200
+        model = service.store.get("live").state.model
+        for i, payload in enumerate(
+            [{"item": 99}, {"item": 99}, {"item": 1, "viewing_time": -1}]
+        ):
+            assert _post_access(service, {"session": f"new-{i}", **payload})[0] == 400
+        assert service.store.get("live").state.model is model
+        assert len(service.store) == 1
+        assert service.store.counters.created == 1
+        assert service.store.counters.evicted_lru == 0
 
 
 def _strict_json(body: bytes):
