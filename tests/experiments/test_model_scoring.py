@@ -74,7 +74,6 @@ def _model_quality_replay(population: Population, info: DynamicsInfo, config: Fl
     return kl, prob
 
 
-
 # ---------------------------------------------------------------------------
 # Small drift and tournament specs
 # ---------------------------------------------------------------------------
